@@ -21,6 +21,7 @@ all return new circuits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 H = "h"
@@ -38,6 +39,13 @@ _ROTATIONS = frozenset({RZ, RX})
 _INVERSE_KIND = {H: H, S: SDG, SDG: S, CX: CX, CZ: CZ}
 
 
+def _as_int(value: object, what: str) -> int:
+    """``value`` as a plain int; numpy integers pass, bools and floats do not."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate application: kind, qubit tuple, and angle for rotations."""
@@ -49,13 +57,15 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        qubits = tuple([q if type(q) is int else _as_int(q, "qubit index") for q in self.qubits])
+        object.__setattr__(self, "qubits", qubits)
         expected = 1 if self.kind in _SINGLE else 2
-        if len(self.qubits) != expected:
-            raise ValueError(f"{self.kind} takes {expected} qubit(s), got {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"repeated qubit index in {self.qubits}")
+        if len(qubits) != expected:
+            raise ValueError(f"{self.kind} takes {expected} qubit(s), got {qubits}")
+        if min(qubits) < 0:
+            raise ValueError(f"negative qubit index in {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"repeated qubit index in {qubits}")
         if self.kind in _ROTATIONS:
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"{self.kind} needs a finite angle, got {self.angle!r}")
@@ -114,6 +124,7 @@ class QuantumCircuit:
     global_phase: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", _as_int(self.n_qubits, "n_qubits"))
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -153,50 +164,40 @@ class QuantumCircuit:
         return len(self.gates)
 
 
-def _last_overlapping(kept: list[Gate], qubits: tuple[int, ...]) -> int:
-    """Index of the latest kept gate touching any of ``qubits``, or -1."""
-    wanted = set(qubits)
-    for j in range(len(kept) - 1, -1, -1):
-        if wanted.intersection(kept[j].qubits):
-            return j
-    return -1
-
-
-def _cancel_pass(gates: tuple[Gate, ...]) -> list[Gate]:
-    kept: list[Gate] = []
-    for gate in gates:
-        j = _last_overlapping(kept, gate.qubits)
-        if j < 0:
-            kept.append(gate)
-            continue
-        prev = kept[j]
-        if prev.qubits == gate.qubits and _INVERSE_KIND.get(prev.kind) == gate.kind:
-            kept.pop(j)
-        elif gate.kind in _ROTATIONS and prev.kind == gate.kind and prev.qubits == gate.qubits:
-            assert prev.angle is not None and gate.angle is not None
-            merged = prev.angle + gate.angle
-            if merged == 0.0:
-                kept.pop(j)
-            else:
-                kept[j] = Gate(gate.kind, gate.qubits, merged)
-        else:
-            kept.append(gate)
-    return kept
-
-
 def cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
     """Peephole compaction: drop adjacent inverse pairs, merge adjacent rotations.
 
     Two gates are adjacent when no gate between them touches any of their
     qubits. Inverse pairs (H,H), (S,Sdg), (Sdg,S), (CX,CX), (CZ,CZ) on the
     identical qubit tuple vanish; adjacent RZ/RX on the same qubit merge by
-    summing angles, disappearing only when the sum is exactly 0.0. Runs to a
-    fixed point; the represented unitary (global phase included) is unchanged.
+    summing angles, disappearing only when the sum is exactly 0.0. The
+    represented unitary (global phase included) is unchanged.
+
+    One pass reaches the fixed point: a kept gate can only be removed by a
+    later gate on its exact qubit tuple, which would first meet any kept gate
+    after it on those qubits. So a gate between two survivors stays, and they
+    never become adjacent.
     """
-    gates = circuit.gates
-    while True:
-        compacted = tuple(_cancel_pass(gates))
-        if compacted == gates:
-            break
-        gates = compacted
-    return QuantumCircuit(circuit.n_qubits, gates, circuit.global_phase)
+    kept: list[Gate | None] = []
+    # per qubit, indices into kept of its live gates; the top is the latest
+    live: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
+    for gate in circuit.gates:
+        j = max((live[q][-1] for q in gate.qubits if live[q]), default=-1)
+        prev = kept[j] if j >= 0 else None
+        if prev is not None and prev.qubits == gate.qubits and (
+            _INVERSE_KIND.get(prev.kind) == gate.kind
+            or (gate.kind in _ROTATIONS and prev.kind == gate.kind)
+        ):
+            angle = prev.angle + gate.angle if gate.kind in _ROTATIONS else 0.0
+            if angle != 0.0:
+                kept[j] = Gate(gate.kind, gate.qubits, angle)
+            else:
+                kept[j] = None
+                for q in gate.qubits:
+                    live[q].pop()
+            continue
+        for q in gate.qubits:
+            live[q].append(len(kept))
+        kept.append(gate)
+    survivors = tuple(g for g in kept if g is not None)
+    return QuantumCircuit(circuit.n_qubits, survivors, circuit.global_phase)

@@ -146,11 +146,11 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     """min over phi of the Frobenius norm ||a - exp(i*phi)*b||.
 
     Zero exactly when a and b agree up to a global phase. The minimum sits
-    at phi = arg(trace(b^dag a)); evaluating the difference there instead of
-    expanding ||a||^2 + ||b||^2 - 2|trace| keeps full precision near zero,
-    where the expanded form cancels catastrophically.
+    at phi = arg(trace(b^dag a)) = arg(vdot(b, a)); evaluating the difference
+    there instead of expanding ||a||^2 + ||b||^2 - 2|trace| keeps full
+    precision near zero, where the expanded form cancels catastrophically.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    phi = np.angle(np.trace(b.conj().T @ a))
+    phi = np.angle(np.vdot(b, a))
     return float(np.linalg.norm(a - np.exp(1j * phi) * b))

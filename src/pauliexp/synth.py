@@ -134,18 +134,16 @@ def trotter_circuit(
     """First-order Trotter product for exp(-i*t*H), H a sum of weighted strings.
 
     Concatenates exp_pauli_term(term, t/reps, variant) over the terms in
-    stored order, repeated reps times. Exact for a single term; otherwise
-    the error shrinks like 1/reps. With ``compact`` the result is run
-    through :func:`cancel_adjacent`, which merges the rotations of adjacent
-    identical slices.
+    stored order, repeated reps times; the slice is synthesized once and its
+    gates repeated, and the phases are summed term by term, left to right.
+    Exact for a single term; otherwise the error shrinks like 1/reps. With
+    ``compact`` the result is run through :func:`cancel_adjacent`, which
+    merges the rotations of adjacent identical slices.
     """
-    slice_t = params.t / params.reps
-    gates: list[Gate] = []
-    phase = 0.0
-    for _ in range(params.reps):
-        for term in h.terms:
-            piece = exp_pauli_term(term, slice_t, variant)
-            gates.extend(piece.gates)
-            phase += piece.global_phase
-    circuit = QuantumCircuit(h.n_qubits, tuple(gates), phase)
+    pieces = [exp_pauli_term(term, params.t / params.reps, variant) for term in h.terms]
+    gates = tuple(g for piece in pieces for g in piece.gates)
+    phase = 0.0  # a loop, not sum(): from Python 3.12 sum() rounds floats differently
+    for piece in pieces * params.reps:
+        phase += piece.global_phase
+    circuit = QuantumCircuit(h.n_qubits, gates * params.reps, phase)
     return cancel_adjacent(circuit) if compact else circuit

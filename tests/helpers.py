@@ -1,4 +1,7 @@
-"""Shared random generators for the test suite. All callers pass a seeded Random."""
+"""Shared random generators and reference implementations for the test suite.
+
+All random generators take a seeded Random from the caller.
+"""
 
 from random import Random
 
@@ -27,7 +30,11 @@ def random_hamiltonian(rng: Random, max_qubits: int = 8, max_terms: int = 10) ->
     return Hamiltonian(n, terms)
 
 
-def random_circuit(rng: Random, n: int, n_gates: int) -> QuantumCircuit:
+def random_circuit(
+    rng: Random, n: int, n_gates: int, angles: tuple[float, ...] = ()
+) -> QuantumCircuit:
+    """Rotation angles are drawn from ``angles`` when given, which makes
+    inverse pairs and rotation merges (zero-sum ones included) common."""
     kinds = ("h", "s", "sdg", "rz", "rx") + (("cx", "cz") if n >= 2 else ())
     gates = []
     for _ in range(n_gates):
@@ -37,10 +44,51 @@ def random_circuit(rng: Random, n: int, n_gates: int) -> QuantumCircuit:
             gates.append(Gate.cx(a, b) if kind == "cx" else Gate.cz(a, b))
         elif kind in ("rz", "rx"):
             q = rng.randrange(n)
-            angle = rng.uniform(-3.2, 3.2)
+            angle = rng.choice(angles) if angles else rng.uniform(-3.2, 3.2)
             gates.append(Gate.rz(q, angle) if kind == "rz" else Gate.rx(q, angle))
         else:
             q = rng.randrange(n)
             gates.append(Gate(kind, (q,)))
     phase = rng.uniform(-3.2, 3.2) if rng.random() < 0.5 else 0.0
     return QuantumCircuit(n, tuple(gates), phase)
+
+
+_INVERSE = {"h": "h", "s": "sdg", "sdg": "s", "cx": "cx", "cz": "cz"}
+
+
+def reference_cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
+    """The peephole as first written, kept as the reference for cancel_adjacent.
+
+    For each gate it scans back over the kept gates for the latest one that
+    shares a qubit, and it repeats whole passes until one changes nothing.
+    """
+
+    def one_pass(gates):
+        kept = []
+        for gate in gates:
+            j = len(kept) - 1
+            while j >= 0 and not set(gate.qubits).intersection(kept[j].qubits):
+                j -= 1
+            if j < 0:
+                kept.append(gate)
+                continue
+            prev = kept[j]
+            if prev.qubits == gate.qubits and _INVERSE.get(prev.kind) == gate.kind:
+                kept.pop(j)
+            elif gate.kind in ("rz", "rx") and (prev.kind, prev.qubits) == (gate.kind, gate.qubits):
+                merged = prev.angle + gate.angle
+                if merged == 0.0:
+                    kept.pop(j)
+                else:
+                    kept[j] = Gate(gate.kind, gate.qubits, merged)
+            else:
+                kept.append(gate)
+        return tuple(kept)
+
+    gates = circuit.gates
+    while True:
+        compacted = one_pass(gates)
+        if compacted == gates:
+            break
+        gates = compacted
+    return QuantumCircuit(circuit.n_qubits, gates, circuit.global_phase)

@@ -15,10 +15,12 @@ from pauliexp import (
     SynthVariant,
     cancel_adjacent,
     circuit_unitary,
+    emit_qasm,
     exp_pauli_term,
     trotter_circuit,
+    validate_qasm,
 )
-from helpers import random_circuit
+from helpers import random_circuit, random_hamiltonian, reference_cancel_adjacent
 
 
 def test_append_returns_new_circuit():
@@ -47,6 +49,30 @@ def test_gate_validation():
         Gate("h", (0,), 0.5)  # angle on a fixed gate
     with pytest.raises(ValueError):
         Gate.rz(0, float("nan"))
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda: Gate("h", (1.0,)), "1.0"),
+    (lambda: Gate("rz", (True,), 0.5), "True"),
+    (lambda: Gate("cx", (0, "1")), "'1'"),
+    (lambda: QuantumCircuit(2.5), "2.5"),
+    (lambda: QuantumCircuit(True), "True"),
+])
+def test_non_int_qubit_index_or_count_is_rejected(make, bad):
+    with pytest.raises(ValueError, match=f"must be an int, got {bad}"):
+        make()
+
+
+def test_integer_like_indices_are_stored_as_int_tuples():
+    gate = Gate("cx", [np.int64(0), np.int32(1)])
+    assert gate == Gate.cx(0, 1)
+    assert gate.qubits == (0, 1) and all(type(q) is int for q in gate.qubits)
+    circuit = QuantumCircuit(np.int64(2), (gate, Gate.cx(0, 1)))
+    assert type(circuit.n_qubits) is int
+    assert cancel_adjacent(circuit).gates == ()
+    text = emit_qasm(QuantumCircuit(np.int64(2), (Gate.h(np.int64(1)), Gate("cx", [0, 1]))))
+    assert "qreg q[2];\nh q[1];\ncx q[0],q[1];\n" in text
+    validate_qasm(text)
 
 
 def test_cz_is_stored_symmetrically():
@@ -173,3 +199,26 @@ def test_cancel_adjacent_preserves_unitary_and_never_grows():
         assert len(compacted) <= len(c)
         assert compacted.global_phase == c.global_phase
         assert np.linalg.norm(circuit_unitary(compacted) - circuit_unitary(c)) <= 1e-12
+
+
+def test_cancel_adjacent_matches_reference_on_cancel_prone_circuits():
+    rng = Random(24)
+    changed = 0
+    for _ in range(1500):
+        c = random_circuit(rng, rng.randint(1, 4), rng.randint(0, 30), (-0.5, -0.25, 0.25, 0.5))
+        compacted = cancel_adjacent(c)
+        assert compacted == reference_cancel_adjacent(c)
+        assert cancel_adjacent(compacted) == compacted
+        changed += compacted != c
+    assert changed > 750  # the generator really exercises the peephole
+
+
+@pytest.mark.parametrize("variant", list(SynthVariant))
+def test_compact_trotter_matches_reference(variant):
+    rng = Random(26)
+    for _ in range(40):
+        h = random_hamiltonian(rng, max_qubits=6, max_terms=8)
+        params = EvolutionParams(rng.uniform(-2.0, 2.0), rng.randint(1, 5))
+        compact = trotter_circuit(h, params, variant, compact=True)
+        assert compact == reference_cancel_adjacent(trotter_circuit(h, params, variant))
+        assert cancel_adjacent(compact) == compact

@@ -13,6 +13,7 @@ from pauliexp import (
     Hamiltonian,
     PauliString,
     PauliTerm,
+    QuantumCircuit,
     SynthVariant,
     cancel_adjacent,
     circuit_unitary,
@@ -244,6 +245,41 @@ def test_trotter_term_order_is_as_stored():
         PauliString.from_label("Z"), 0.9
     ) @ exp_pauli_closed_form(PauliString.from_label("X"), 0.9)
     assert np.linalg.norm(circuit_unitary(circ) - ref) <= 1e-12
+
+
+def concatenated_trotter(h, t, reps, variant):
+    gates, phase = [], 0.0
+    for _ in range(reps):
+        for term_ in h.terms:
+            piece = exp_pauli_term(term_, t / reps, variant)
+            gates.extend(piece.gates)
+            phase += piece.global_phase
+    return QuantumCircuit(h.n_qubits, tuple(gates), phase)
+
+
+@pytest.mark.parametrize("variant", list(SynthVariant))
+def test_trotter_equals_explicit_concatenation_exactly(variant):
+    # Slice phases -0.037, 0, -0.111 summed over 6 reps give -0.888 left to
+    # right, but -0.8879999999999999 as slice sum times reps.
+    tricky = Hamiltonian(2, (term("II", 0.037), term("XZ", 0.5), term("II", 0.111)))
+    assert concatenated_trotter(tricky, 6.0, 6, variant).global_phase == -0.888
+    cases = [(tricky, 6.0, 6)]
+    rng = Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        terms = [
+            PauliTerm(rng.uniform(-3.0, 3.0), random_pauli_string(rng, n))
+            for _ in range(rng.randint(0, 5))
+        ]
+        for _ in range(rng.randint(2, 3)):
+            identity = PauliTerm(rng.uniform(-3.0, 3.0), PauliString.from_label("I" * n))
+            terms.insert(rng.randint(0, len(terms)), identity)
+        cases.append((Hamiltonian(n, tuple(terms)), rng.uniform(-2.0, 2.0), rng.randint(1, 7)))
+    for h, t, reps in cases:
+        expected = concatenated_trotter(h, t, reps, variant)
+        circuit = trotter_circuit(h, EvolutionParams(t, reps), variant)
+        assert circuit.gates == expected.gates
+        assert circuit.global_phase == expected.global_phase  # exact, not approx
 
 
 def test_evolution_params_validation():
