@@ -115,6 +115,19 @@ class Gate:
         return f"{self.kind}({args})"
 
 
+def _trusted_gate(kind: str, qubits: tuple[int, ...], angle: float | None = None) -> Gate:
+    """A Gate built without ``__post_init__``, whose checks would dominate
+    synthesis time. Only for internal callers whose arguments are valid by
+    construction: a known kind, a tuple of distinct non-negative ints of the
+    right length, and a finite float angle exactly for rotations."""
+    gate = object.__new__(Gate)
+    fields = gate.__dict__
+    fields["kind"] = kind
+    fields["qubits"] = qubits
+    fields["angle"] = angle
+    return gate
+
+
 @dataclass(frozen=True)
 class QuantumCircuit:
     """Ordered gate sequence over ``n_qubits`` with a tracked global phase."""
@@ -189,8 +202,10 @@ def cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
             or (gate.kind in _ROTATIONS and prev.kind == gate.kind)
         ):
             angle = prev.angle + gate.angle if gate.kind in _ROTATIONS else 0.0
+            if not math.isfinite(angle):
+                raise ValueError(f"merged {gate.kind} angle on {gate.qubits} overflows")
             if angle != 0.0:
-                kept[j] = Gate(gate.kind, gate.qubits, angle)
+                kept[j] = _trusted_gate(gate.kind, gate.qubits, angle)
             else:
                 kept[j] = None
                 for q in gate.qubits:

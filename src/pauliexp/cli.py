@@ -17,18 +17,7 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .circuit import GATE_KINDS, QuantumCircuit
-from .oracle import (
-    MAX_DENSE_QUBITS,
-    MAX_EXPM_QUBITS,
-    circuit_unitary,
-    exp_pauli_closed_form,
-    hamiltonian_matrix,
-    matrix_exponential,
-    phase_invariant_distance,
-)
 from .parser import ParseError, parse_hamiltonian
 from .paulis import Hamiltonian
 from .qasm import emit_qasm
@@ -129,6 +118,19 @@ def _emit(ns: argparse.Namespace, circuit: QuantumCircuit) -> None:
 
 
 def _verify(ns: argparse.Namespace, h: Hamiltonian) -> int:
+    # only verify needs the dense oracle, and with it numpy
+    import numpy as np
+
+    from .oracle import (
+        MAX_DENSE_QUBITS,
+        MAX_EXPM_QUBITS,
+        apply_exp_pauli,
+        circuit_unitary,
+        hamiltonian_matrix,
+        matrix_exponential,
+        phase_invariant_distance,
+    )
+
     if h.n_qubits > MAX_DENSE_QUBITS:
         print(
             f"cannot verify: {h.n_qubits} qubits exceeds the dense-matrix "
@@ -149,7 +151,7 @@ def _verify(ns: argparse.Namespace, h: Hamiltonian) -> int:
     else:
         reference = np.eye(2**h.n_qubits, dtype=complex)
         for term in h.terms:  # first term applies first: later terms multiply in front
-            reference = exp_pauli_closed_form(term.string, ns.t * term.coefficient) @ reference
+            reference = apply_exp_pauli(term.string, ns.t * term.coefficient, reference)
     distance = phase_invariant_distance(synthesized, reference)
     passed = distance <= VERIFY_THRESHOLD
     print(f"{distance:.6e} {'PASS' if passed else 'FAIL'}")

@@ -30,6 +30,9 @@ _PAULI_1Q = {
     PauliOp.Z: np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+_I_SIGNS = np.array([1.0, 1.0])
+_ZY_SIGNS = np.array([1.0, -1.0])
+
 _SQRT2_INV = 1 / math.sqrt(2)
 _FIXED_GATES = {
     H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
@@ -76,6 +79,26 @@ def exp_pauli_closed_form(p: PauliString, t: float) -> np.ndarray:
     _check_qubit_cap(p.n_qubits)
     dim = 2**p.n_qubits
     return math.cos(t) * np.eye(dim, dtype=complex) - 1j * math.sin(t) * pauli_matrix(p)
+
+
+def apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.ndarray:
+    """exp(-i*t*P) @ u in O(d^2), for u with 2^n rows.
+
+    P is a signed permutation: it sends basis state src to src ^ flip (flip
+    is the X/Y mask) with phase i^{#Y} * (-1)^{popcount(src & zy_mask)}. So
+    row idx of P @ u is phase(src) * u[src] with src = idx ^ flip, and the
+    result is the value ``exp_pauli_closed_form(p, t) @ u`` without a d x d
+    matmul.
+    """
+    _check_qubit_cap(p.n_qubits)
+    flip = 0
+    signs = np.ones(1)
+    for op in p.ops:
+        flip = flip << 1 | (op in (PauliOp.X, PauliOp.Y))
+        signs = np.kron(signs, _ZY_SIGNS if op in (PauliOp.Z, PauliOp.Y) else _I_SIGNS)
+    src = np.arange(2**p.n_qubits) ^ flip
+    phase = 1j ** sum(op is PauliOp.Y for op in p.ops) * signs[src]
+    return math.cos(t) * u - 1j * math.sin(t) * (phase[:, None] * u[src])
 
 
 def _apply_gate(gate_mat: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, n: int) -> np.ndarray:

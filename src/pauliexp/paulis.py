@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
+from .circuit import _as_int
+
 
 class PauliOp(Enum):
     """Single-qubit Pauli operator tag."""
@@ -125,6 +127,7 @@ class Hamiltonian:
     terms: tuple[PauliTerm, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", _as_int(self.n_qubits, "n_qubits"))
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
         object.__setattr__(self, "terms", tuple(self.terms))

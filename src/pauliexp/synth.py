@@ -25,7 +25,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .circuit import Gate, QuantumCircuit, cancel_adjacent
+from .circuit import (
+    CX,
+    H,
+    RZ,
+    S,
+    SDG,
+    Gate,
+    QuantumCircuit,
+    _as_int,
+    _trusted_gate,
+    cancel_adjacent,
+)
 from .paulis import Hamiltonian, PauliOp, PauliString, PauliTerm
 
 
@@ -45,6 +56,7 @@ class EvolutionParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.t):
             raise ValueError("t must be finite")
+        object.__setattr__(self, "reps", _as_int(self.reps, "reps"))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
 
@@ -56,7 +68,7 @@ def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> Qua
     CX(q2, q1), RZ(q1, theta), then the mirrored CX sequence: the chain
     folds the joint parity onto q1, where one RZ applies the phase.
     """
-    support = tuple(support)
+    support = tuple(_as_int(q, "qubit index") for q in support)
     if not support:
         raise ValueError("support must not be empty")
     if any(b <= a for a, b in zip(support, support[1:])):
@@ -64,9 +76,19 @@ def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> Qua
     if support[0] < 0 or support[-1] >= n_qubits:
         raise ValueError(f"support {support} out of range for {n_qubits} qubits")
 
-    down = [Gate.cx(support[i], support[i - 1]) for i in range(len(support) - 1, 0, -1)]
-    up = [Gate.cx(support[i], support[i - 1]) for i in range(1, len(support))]
-    return QuantumCircuit(n_qubits, (*down, Gate.rz(support[0], theta), *up))
+    return QuantumCircuit(n_qubits, _ladder(support, theta))
+
+
+def _ladder(support: tuple[int, ...], theta: float) -> list[Gate]:
+    """Gates of :func:`synth_z_rotation` for a valid ascending support.
+
+    The CX gates skip validation; the RZ goes through ``Gate``, which
+    rejects a non-finite theta.
+    """
+    down = [
+        _trusted_gate(CX, (support[i], support[i - 1])) for i in range(len(support) - 1, 0, -1)
+    ]
+    return [*down, Gate(RZ, (support[0],), theta), *reversed(down)]
 
 
 def _wrap_layers(
@@ -78,11 +100,13 @@ def _wrap_layers(
         post: list[Gate] = []
         for k in support:
             if string[k] is PauliOp.X:
-                pre.append(Gate.h(k))
-                post.append(Gate.h(k))
+                h = _trusted_gate(H, (k,))
+                pre.append(h)
+                post.append(h)
             elif string[k] is PauliOp.Y:
-                pre += [Gate.sdg(k), Gate.h(k)]
-                post += [Gate.h(k), Gate.s(k)]
+                h = _trusted_gate(H, (k,))
+                pre += [_trusted_gate(SDG, (k,)), h]
+                post += [h, _trusted_gate(S, (k,))]
         return [(pre, post)]
 
     if variant is SynthVariant.X_LADDER:
@@ -90,17 +114,18 @@ def _wrap_layers(
         outer_pre, outer_post = [], []
         for k in support:
             if string[k] is PauliOp.Z:
-                outer_pre.append(Gate.h(k))
-                outer_post.append(Gate.h(k))
+                h = _trusted_gate(H, (k,))
+                outer_pre.append(h)
+                outer_post.append(h)
             elif string[k] is PauliOp.Y:
-                outer_pre.append(Gate.sdg(k))
-                outer_post.append(Gate.s(k))
+                outer_pre.append(_trusted_gate(SDG, (k,)))
+                outer_post.append(_trusted_gate(S, (k,)))
     else:  # MIXED: X legs only where the string has X or Y
         x_legs = tuple(k for k in support if string[k] in (PauliOp.X, PauliOp.Y))
-        outer_pre = [Gate.sdg(k) for k in support if string[k] is PauliOp.Y]
-        outer_post = [Gate.s(k) for k in support if string[k] is PauliOp.Y]
+        outer_pre = [_trusted_gate(SDG, (k,)) for k in support if string[k] is PauliOp.Y]
+        outer_post = [_trusted_gate(S, (k,)) for k in support if string[k] is PauliOp.Y]
 
-    inner = [Gate.h(k) for k in x_legs]
+    inner = [_trusted_gate(H, (k,)) for k in x_legs]
     return [(inner, list(inner)), (outer_pre, outer_post)]
 
 
@@ -118,8 +143,7 @@ def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumC
     if not support:
         return QuantumCircuit(n, (), global_phase=-t * term.coefficient)
 
-    ladder = synth_z_rotation(n, support, 2.0 * t * term.coefficient)
-    gates = list(ladder.gates)
+    gates = _ladder(support, 2.0 * t * term.coefficient)
     for pre, post in _wrap_layers(term.string, support, variant):
         gates = pre + gates + post
     return QuantumCircuit(n, tuple(gates))

@@ -175,6 +175,12 @@ def test_rotation_merge_drops_exact_zero_only():
     assert merged == (() if total == 0.0 else (Gate.rz(0, total),))
 
 
+def test_rotation_merge_overflow_is_rejected():
+    circuit = QuantumCircuit(1, (Gate.rx(0, 1e308), Gate.rx(0, 1e308)))
+    with pytest.raises(ValueError, match="overflows"):
+        cancel_adjacent(circuit)
+
+
 def test_rz_rx_on_same_qubit_do_not_merge():
     c = QuantumCircuit(1, (Gate.rz(0, 0.25), Gate.rx(0, 0.5)))
     assert cancel_adjacent(c).gates == c.gates

@@ -1,0 +1,63 @@
+"""Compiling never loads numpy: only the dense oracle, and so ``verify``, does.
+
+Each check runs in a fresh interpreter, since this test session has long
+imported numpy.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = r"""
+import sys
+
+import pauliexp
+import pauliexp.cli
+from pauliexp.cli import run_cli
+
+assert "numpy" not in sys.modules, "loaded by import"
+assert "circuit_unitary" in dir(pauliexp)
+for argv in (
+    ["synth", "--ham", "0.5*Z0 Z1 + 0.3*X0", "--n", "2", "--t", "1.0"],
+    ["trotter", "--ham", "0.5*Z0 Z1 + 0.3*X0", "--n", "2", "--t", "1.0", "--reps", "4",
+     "--compact"],
+    ["stats", "--ham", "1*Y1 Y3 X5", "--n", "6", "--t", "0.7"],
+):
+    assert run_cli(argv) == 0, argv
+    assert "numpy" not in sys.modules, f"loaded by {argv[0]}"
+
+assert run_cli(["verify", "--ham", "1*Y1 Y3 X5", "--n", "6", "--t", "0.7"]) == 0
+assert run_cli(["verify", "--ham", "1*Z0 + 1*X0", "--n", "1", "--t", "0.7", "--exact"]) == 2
+assert "numpy" in sys.modules
+
+for name in pauliexp.__all__:
+    getattr(pauliexp, name)
+assert pauliexp.circuit_unitary is pauliexp.oracle.circuit_unitary
+assert pauliexp.MAX_DENSE_QUBITS == 12
+namespace = {}
+exec("from pauliexp import *", namespace)
+assert set(pauliexp.__all__) <= set(namespace)
+try:
+    pauliexp.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown name resolved")
+print("ok", file=sys.stderr)
+"""
+
+
+def test_compile_path_leaves_numpy_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.endswith("ok\n")
+    # two QASM documents, the stats census, then one PASS and one FAIL line
+    assert result.stdout.count("OPENQASM 2.0;") == 2
+    verdicts = [line.split()[-1] for line in result.stdout.splitlines()[-2:]]
+    assert verdicts == ["PASS", "FAIL"]

@@ -21,7 +21,8 @@ from pauliexp import (
     pauli_matrix,
     phase_invariant_distance,
 )
-from helpers import random_circuit, random_pauli_string
+from pauliexp.oracle import apply_exp_pauli
+from helpers import random_circuit, random_pauli_label, random_pauli_string
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -215,3 +216,22 @@ def test_distance_identity_vs_z_is_two():
 def test_distance_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         phase_invariant_distance(I2, np.eye(4, dtype=complex))
+
+
+def test_apply_exp_pauli_matches_closed_form_product():
+    rng = Random(35)
+    gen = np.random.default_rng(35)
+    labels = ["I", "IIII", "Y", "YYY", "YIYY", "XZ", "ZZZZZZ", "IYIYIX"]
+    labels += [random_pauli_label(rng, rng.randint(1, 6)) for _ in range(60)]
+    for label in labels:
+        p = PauliString.from_label(label)
+        t = rng.uniform(-3.0, 3.0)
+        shape = (2**p.n_qubits, rng.randint(1, 2**p.n_qubits))
+        u = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+        expected = exp_pauli_closed_form(p, t) @ u
+        assert np.abs(apply_exp_pauli(p, t, u) - expected).max() <= 1e-14, label
+
+
+def test_apply_exp_pauli_respects_the_qubit_cap():
+    with pytest.raises(ValueError, match="cap"):
+        apply_exp_pauli(PauliString.from_label("Z" * 13), 0.5, np.eye(2, dtype=complex))

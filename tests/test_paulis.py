@@ -2,6 +2,7 @@
 
 from random import Random
 
+import numpy as np
 import pytest
 
 from pauliexp import Hamiltonian, PauliOp, PauliString, PauliTerm
@@ -106,3 +107,14 @@ def test_hamiltonian_preserves_term_order():
 def test_hamiltonian_requires_positive_width():
     with pytest.raises(ValueError):
         Hamiltonian(0, ())
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "2"])
+def test_hamiltonian_rejects_non_int_width(bad):
+    with pytest.raises(ValueError, match=f"n_qubits must be an int, got {bad!r}"):
+        Hamiltonian(bad, ())
+
+
+def test_hamiltonian_accepts_numpy_int_width():
+    h = Hamiltonian(np.int64(2), (PauliTerm(1.0, PauliString.from_label("ZZ")),))
+    assert h.n_qubits == 2 and type(h.n_qubits) is int

@@ -287,3 +287,40 @@ def test_evolution_params_validation():
         EvolutionParams(float("inf"), 1)
     with pytest.raises(ValueError):
         EvolutionParams(0.5, 0)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "2"])
+def test_evolution_params_rejects_non_int_reps(bad):
+    with pytest.raises(ValueError, match=f"reps must be an int, got {bad!r}"):
+        EvolutionParams(1.0, bad)
+
+
+def test_evolution_params_accepts_numpy_int_reps():
+    params = EvolutionParams(0.5, np.int32(3))
+    assert params.reps == 3 and type(params.reps) is int
+    h = Hamiltonian(1, (term("Z"),))
+    assert len(trotter_circuit(h, params)) == 3
+
+
+def test_ladder_rejects_non_int_support():
+    with pytest.raises(ValueError, match="qubit index must be an int, got 1.0"):
+        synth_z_rotation(3, [0, 1.0], 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        synth_z_rotation(3, [0, 1], float("inf"))
+    assert synth_z_rotation(3, [np.int64(0), np.int64(2)], 0.5) == synth_z_rotation(3, [0, 2], 0.5)
+
+
+def test_synthesized_gates_equal_validated_gates():
+    """Gates built on the unchecked internal path equal and hash like public ones."""
+    rng = Random(36)
+    for variant in SynthVariant:
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            circuit = exp_pauli_term(
+                PauliTerm(rng.uniform(-2.0, 2.0), random_pauli_string(rng, n)), 0.4, variant
+            )
+            for gate in circuit.gates:
+                public = Gate(gate.kind, gate.qubits, gate.angle)
+                assert gate == public and hash(gate) == hash(public)
+                assert type(gate.angle) is (float if gate.kind in ("rz", "rx") else type(None))
+                assert all(type(q) is int for q in gate.qubits)
