@@ -151,7 +151,7 @@ def _verify(ns: argparse.Namespace, h: Hamiltonian) -> int:
     else:
         reference = np.eye(2**h.n_qubits, dtype=complex)
         for term in h.terms:  # first term applies first: later terms multiply in front
-            reference = apply_exp_pauli(term.string, ns.t * term.coefficient, reference)
+            apply_exp_pauli(term.string, ns.t * term.coefficient, reference)
     distance = phase_invariant_distance(synthesized, reference)
     passed = distance <= VERIFY_THRESHOLD
     print(f"{distance:.6e} {'PASS' if passed else 'FAIL'}")

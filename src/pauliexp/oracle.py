@@ -22,6 +22,8 @@ from .paulis import Hamiltonian, PauliOp, PauliString
 
 MAX_DENSE_QUBITS = 12
 MAX_EXPM_QUBITS = 8
+# elements in one block of the blocked loops below (1 MiB of complex128)
+_BLOCK_ELEMENTS = 2**16
 
 _PAULI_1Q = {
     PauliOp.I: np.eye(2, dtype=complex),
@@ -82,42 +84,100 @@ def exp_pauli_closed_form(p: PauliString, t: float) -> np.ndarray:
 
 
 def apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.ndarray:
-    """exp(-i*t*P) @ u in O(d^2), for u with 2^n rows.
+    """Overwrite u, a writable complex128 array with 2^n rows, with
+    exp(-i*t*P) @ u, and return it; O(d^2) time, block-sized temporaries.
 
     P is a signed permutation: it sends basis state src to src ^ flip (flip
     is the X/Y mask) with phase i^{#Y} * (-1)^{popcount(src & zy_mask)}. So
     row idx of P @ u is phase(src) * u[src] with src = idx ^ flip, and the
     result is the value ``exp_pauli_closed_form(p, t) @ u`` without a d x d
-    matmul.
+    matmul. Rows idx and idx ^ flip only feed each other, so the update runs
+    over blocks of such row pairs; each element gets the same operations, in
+    the same operand order, as the whole-matrix expression
+    ``cos(t)*u - (1j*sin(t))*(phase[:, None]*u[src])``.
     """
     _check_qubit_cap(p.n_qubits)
+    dim = 2**p.n_qubits
+    if not isinstance(u, np.ndarray) or u.ndim != 2 or u.shape[0] != dim:
+        got = f"{type(u).__name__} of shape {np.shape(u)}"
+        raise ValueError(f"u must be a 2-D ndarray with {dim} rows, got {got}")
+    if u.dtype != np.complex128:
+        raise ValueError(f"u must have dtype complex128, got {u.dtype}")
+    if not u.flags.writeable:
+        raise ValueError("u must be writable, got flags.writeable=False")
     flip = 0
     signs = np.ones(1)
     for op in p.ops:
         flip = flip << 1 | (op in (PauliOp.X, PauliOp.Y))
         signs = np.kron(signs, _ZY_SIGNS if op in (PauliOp.Z, PauliOp.Y) else _I_SIGNS)
-    src = np.arange(2**p.n_qubits) ^ flip
-    phase = 1j ** sum(op is PauliOp.Y for op in p.ops) * signs[src]
-    return math.cos(t) * u - 1j * math.sin(t) * (phase[:, None] * u[src])
+    rows = np.arange(dim)
+    phase = 1j ** sum(op is PauliOp.Y for op in p.ops) * signs[rows ^ flip]
+    # one row of each pair, the one whose highest flipped bit is clear
+    # (every row when flip is 0)
+    low = rows[rows & (1 << flip.bit_length() >> 1) == 0]
+    cos, isin = math.cos(t), 1j * math.sin(t)
+    step = max(1, _BLOCK_ELEMENTS // (2 * max(1, u.shape[1])))
+    for start in range(0, len(low), step):
+        lo = low[start : start + step]
+        hi = lo ^ flip
+        a, b = u[lo], u[hi]
+        u[lo] = cos * a - isin * (phase[lo, None] * b)
+        if flip:
+            u[hi] = cos * b - isin * (phase[hi, None] * a)
+    return u
 
 
-def _apply_gate(gate_mat: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, n: int) -> np.ndarray:
-    """Left-multiply a gate embedded at ``qubits`` into the 2^n x m matrix u."""
+def _apply_gate(
+    gate_mat: np.ndarray,
+    qubits: tuple[int, ...],
+    tensor: np.ndarray,
+    gathered: np.ndarray,
+    product: np.ndarray,
+) -> None:
+    """Left-multiply, in place, a gate at ``qubits`` into ``tensor``, a
+    2^n x m matrix viewed with shape (2,)*n + (m,).
+
+    ``gathered`` and ``product`` are scratch arrays of the tensor's size,
+    reused so that no gate allocates. The steps are those of
+    ``np.tensordot(gate, tensor, axes=(gate inputs, qubits))`` followed by
+    moving the gate's outputs back to ``qubits`` (gather the gate's axes to
+    the front, one matrix product, scatter back), so the bits are theirs.
+    """
     k = len(qubits)
-    tensor = u.reshape((2,) * n + (u.shape[1],))
-    gate_tensor = gate_mat.reshape((2,) * (2 * k))
-    tensor = np.tensordot(gate_tensor, tensor, axes=(tuple(range(k, 2 * k)), qubits))
-    return np.moveaxis(tensor, tuple(range(k)), qubits).reshape(u.shape)
+    perm = qubits + tuple(axis for axis in range(tensor.ndim) if axis not in qubits)
+    view = tensor.transpose(perm)
+    front = gathered.reshape(view.shape)
+    front[...] = view
+    out = product.reshape(2**k, -1)
+    np.dot(gate_mat, front.reshape(2**k, -1), out=out)
+    view[...] = out.reshape(view.shape)
 
 
 def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
-    """Multiply out the circuit's gates in application order, phase included."""
+    """Multiply out the circuit's gates in application order, phase included.
+
+    The gates run on column blocks of the identity, so besides the result
+    only block-sized arrays are live; a column's values do not depend on
+    the block it is computed in.
+    """
     _check_qubit_cap(c.n_qubits)
-    u = np.eye(2**c.n_qubits, dtype=complex)
-    for gate in c.gates:
-        u = _apply_gate(_gate_matrix(gate), gate.qubits, u, c.n_qubits)
+    n = c.n_qubits
+    dim = 2**n
+    gates = [(_gate_matrix(gate), gate.qubits) for gate in c.gates]
+    u = np.empty((dim, dim), dtype=complex)
+    width = min(dim, _BLOCK_ELEMENTS // dim)
+    block, gathered, product = (np.empty((dim, width), dtype=complex) for _ in range(3))
+    tensor = block.reshape((2,) * n + (width,))
+    columns = np.arange(width)
+    for start in range(0, dim, width):
+        block.fill(0)
+        block[start + columns, columns] = 1  # columns start.. of the identity
+        for gate_mat, qubits in gates:
+            _apply_gate(gate_mat, qubits, tensor, gathered, product)
+        u[:, start : start + width] = block
     if c.global_phase != 0.0:
-        u = np.exp(1j * c.global_phase) * u
+        # scalar first, as in exp(i*phase) * u: the operand order fixes the bits
+        np.multiply(np.exp(1j * c.global_phase), u, out=u)
     return u
 
 
@@ -172,8 +232,15 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     at phi = arg(trace(b^dag a)) = arg(vdot(b, a)); evaluating the difference
     there instead of expanding ||a||^2 + ||b||^2 - 2|trace| keeps full
     precision near zero, where the expanded form cancels catastrophically.
+    The squared norm of the difference is summed over row blocks, so no
+    temporary larger than a block is made.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    phi = np.angle(np.vdot(b, a))
-    return float(np.linalg.norm(a - np.exp(1j * phi) * b))
+    w = np.exp(1j * np.angle(np.vdot(b, a)))
+    step = max(1, _BLOCK_ELEMENTS // max(1, math.prod(a.shape[1:])))
+    total = 0.0
+    for start in range(0, len(a), step):
+        diff = a[start : start + step] - w * b[start : start + step]
+        total += np.vdot(diff, diff).real
+    return math.sqrt(total)

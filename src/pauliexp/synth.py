@@ -129,6 +129,17 @@ def _wrap_layers(
     return [(inner, list(inner)), (outer_pre, outer_post)]
 
 
+def _term_gates(term: PauliTerm, t: float, variant: SynthVariant) -> tuple[list[Gate], float]:
+    """Gates and global phase of :func:`exp_pauli_term`, not bounds-checked."""
+    support = term.string.support
+    if not support:
+        return [], -t * term.coefficient
+    gates = _ladder(support, 2.0 * t * term.coefficient)
+    for pre, post in _wrap_layers(term.string, support, variant):
+        gates = pre + gates + post
+    return gates, 0.0
+
+
 def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumCircuit:
     """Circuit whose unitary equals exp(-i*t*w*P) for the weighted string w*P.
 
@@ -138,15 +149,8 @@ def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumC
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    n = term.n_qubits
-    support = term.string.support
-    if not support:
-        return QuantumCircuit(n, (), global_phase=-t * term.coefficient)
-
-    gates = _ladder(support, 2.0 * t * term.coefficient)
-    for pre, post in _wrap_layers(term.string, support, variant):
-        gates = pre + gates + post
-    return QuantumCircuit(n, tuple(gates))
+    gates, phase = _term_gates(term, t, variant)
+    return QuantumCircuit(term.n_qubits, tuple(gates), phase)
 
 
 def trotter_circuit(
@@ -162,12 +166,13 @@ def trotter_circuit(
     gates repeated, and the phases are summed term by term, left to right.
     Exact for a single term; otherwise the error shrinks like 1/reps. With
     ``compact`` the result is run through :func:`cancel_adjacent`, which
-    merges the rotations of adjacent identical slices.
+    merges the rotations of adjacent identical slices. Each gate is
+    bounds-checked once, by the returned circuit.
     """
-    pieces = [exp_pauli_term(term, params.t / params.reps, variant) for term in h.terms]
-    gates = tuple(g for piece in pieces for g in piece.gates)
+    pieces = [_term_gates(term, params.t / params.reps, variant) for term in h.terms]
+    gates = tuple(g for piece_gates, _ in pieces for g in piece_gates)
     phase = 0.0  # a loop, not sum(): from Python 3.12 sum() rounds floats differently
-    for piece in pieces * params.reps:
-        phase += piece.global_phase
+    for _, piece_phase in pieces * params.reps:
+        phase += piece_phase
     circuit = QuantumCircuit(h.n_qubits, gates * params.reps, phase)
     return cancel_adjacent(circuit) if compact else circuit

@@ -5,7 +5,10 @@ All random generators take a seeded Random from the caller.
 
 from random import Random
 
+import numpy as np
+
 from pauliexp import Gate, Hamiltonian, PauliString, PauliTerm, QuantumCircuit
+from pauliexp.oracle import _gate_matrix
 
 PAULI_CHARS = "IXYZ"
 
@@ -92,3 +95,20 @@ def reference_cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
             break
         gates = compacted
     return QuantumCircuit(circuit.n_qubits, gates, circuit.global_phase)
+
+
+def reference_circuit_unitary(c: QuantumCircuit) -> np.ndarray:
+    """circuit_unitary as first written, kept as its reference: every gate
+    acts on the whole d x d matrix at once through np.tensordot, and the
+    phase multiplies a copy."""
+    n = c.n_qubits
+    u = np.eye(2**n, dtype=complex)
+    for gate in c.gates:
+        k = len(gate.qubits)
+        tensor = u.reshape((2,) * n + (u.shape[1],))
+        gate_tensor = _gate_matrix(gate).reshape((2,) * (2 * k))
+        tensor = np.tensordot(gate_tensor, tensor, axes=(tuple(range(k, 2 * k)), gate.qubits))
+        u = np.moveaxis(tensor, tuple(range(k)), gate.qubits).reshape(u.shape)
+    if c.global_phase != 0.0:
+        u = np.exp(1j * c.global_phase) * u
+    return u

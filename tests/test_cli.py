@@ -1,9 +1,26 @@
 """CLI behavior: subcommand output, exit codes, file handling."""
 
+from random import Random
+
+import numpy as np
 import pytest
 
-from pauliexp import validate_qasm
-from pauliexp.cli import run_cli
+from pauliexp import (
+    EvolutionParams,
+    Hamiltonian,
+    PauliTerm,
+    SynthVariant,
+    circuit_unitary,
+    exp_pauli_closed_form,
+    format_hamiltonian,
+    hamiltonian_matrix,
+    matrix_exponential,
+    phase_invariant_distance,
+    trotter_circuit,
+    validate_qasm,
+)
+from pauliexp.cli import VERIFY_THRESHOLD, run_cli
+from helpers import random_pauli_string
 
 ZZ_QASM = (
     "OPENQASM 2.0;\n"
@@ -173,3 +190,54 @@ def test_angle_overflow_exits_1(capsys):
     rc = run_cli(["synth", "--ham", "1e300*Z0", "--n", "1", "--t", "1e300"])
     assert rc == 1
     assert capsys.readouterr().err != ""
+
+
+def _commute(a, b) -> bool:
+    anti = sum(x is not y and "I" not in (x.value, y.value) for x, y in zip(a.ops, b.ops))
+    return anti % 2 == 0
+
+
+def _verify_jobs():
+    """(n, variant, exact, Hamiltonian, t): per-term jobs at n = 6..9 and
+    --exact jobs at n = 6..8, the latter with commuting (PASS) and
+    non-commuting (FAIL) terms."""
+    rng = Random(38)
+    jobs = []
+    for n in range(6, 10):
+        for variant in SynthVariant:
+            terms = [PauliTerm(rng.uniform(-2, 2), random_pauli_string(rng, n, 1)) for _ in range(3)]
+            jobs.append((n, variant, False, Hamiltonian(n, tuple(terms)), rng.uniform(0.2, 1.5)))
+            if n > 8:
+                continue
+            for commuting in (True, False):
+                terms = []
+                while len(terms) < 3:
+                    p = random_pauli_string(rng, n, 1)
+                    if all(_commute(p, q.string) for q in terms) == commuting or not terms:
+                        terms.append(PauliTerm(rng.uniform(-2, 2), p))
+                h = Hamiltonian(n, tuple(terms))
+                jobs.append((n, variant, True, h, rng.uniform(0.5, 1.5)))
+    return jobs
+
+
+def test_verify_output_is_replayable_from_public_oracle_calls(capsys):
+    # bench/spans.py replays verify through these public calls, with the
+    # per-term reference as dense closed-form products, and requires the
+    # CLI's stdout byte for byte; this pins that invariant.
+    verdicts = set()
+    for n, variant, exact, h, t in _verify_jobs():
+        argv = ["verify", "--ham", format_hamiltonian(h), "--n", str(n), "--t", repr(t)]
+        rc = run_cli([*argv, "--variant", variant.value] + ["--exact"] * exact)
+        unitary = circuit_unitary(trotter_circuit(h, EvolutionParams(t), variant))
+        if exact:
+            reference = matrix_exponential(hamiltonian_matrix(h), t)
+        else:
+            reference = np.eye(2**n, dtype=complex)
+            for term in h.terms:
+                reference = exp_pauli_closed_form(term.string, t * term.coefficient) @ reference
+        distance = phase_invariant_distance(unitary, reference)
+        verdict = "PASS" if distance <= VERIFY_THRESHOLD else "FAIL"
+        assert capsys.readouterr().out == f"{distance:.6e} {verdict}\n", argv
+        assert rc == (0 if verdict == "PASS" else 2)
+        verdicts.add((exact, verdict))
+    assert verdicts == {(False, "PASS"), (True, "PASS"), (True, "FAIL")}

@@ -3,6 +3,7 @@ the Hermitian exponential, and the phase-invariant distance."""
 
 import itertools
 import math
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -22,7 +23,12 @@ from pauliexp import (
     phase_invariant_distance,
 )
 from pauliexp.oracle import apply_exp_pauli
-from helpers import random_circuit, random_pauli_label, random_pauli_string
+from helpers import (
+    random_circuit,
+    random_pauli_label,
+    random_pauli_string,
+    reference_circuit_unitary,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -235,3 +241,64 @@ def test_apply_exp_pauli_matches_closed_form_product():
 def test_apply_exp_pauli_respects_the_qubit_cap():
     with pytest.raises(ValueError, match="cap"):
         apply_exp_pauli(PauliString.from_label("Z" * 13), 0.5, np.eye(2, dtype=complex))
+
+
+def test_apply_exp_pauli_updates_u_in_place():
+    u = np.eye(4, dtype=complex)
+    assert apply_exp_pauli(PauliString.from_label("XY"), 0.3, u) is u
+    assert np.array_equal(u, exp_pauli_closed_form(PauliString.from_label("XY"), 0.3))
+
+
+@pytest.mark.parametrize(
+    "u, message",
+    [
+        (np.eye(8, dtype=complex), r"4 rows, got ndarray of shape \(8, 8\)"),
+        (np.ones(4, dtype=complex), r"4 rows, got ndarray of shape \(4,\)"),
+        ([[1, 0, 0, 0]] * 4, r"4 rows, got list of shape \(4, 4\)"),
+        (np.eye(4), "complex128, got float64"),
+        (np.eye(4, dtype=np.complex64), "complex128, got complex64"),
+    ],
+)
+def test_apply_exp_pauli_rejects_bad_shape_and_dtype(u, message):
+    with pytest.raises(ValueError, match=message):
+        apply_exp_pauli(PauliString.from_label("XZ"), 0.5, u)
+
+
+def test_apply_exp_pauli_rejects_read_only_u():
+    u = np.eye(4, dtype=complex)
+    u.flags.writeable = False
+    with pytest.raises(ValueError, match="writeable"):
+        apply_exp_pauli(PauliString.from_label("XZ"), 0.5, u)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
+def test_blocked_circuit_unitary_equals_whole_matrix_loop(n):
+    # d > 256 splits the identity into several column blocks; each column's
+    # bits must not depend on the block it was computed in
+    rng = Random(36 + n)
+    for phase in (0.0, rng.uniform(-3.2, 3.2)):
+        c = random_circuit(rng, n, 24 if n < 10 else 8)
+        c = QuantumCircuit(n, c.gates, phase)
+        assert np.array_equal(circuit_unitary(c), reference_circuit_unitary(c))
+
+
+def _traced_peak(fn, *args) -> int:
+    """Bytes allocated by fn(*args) at its peak, above what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_oracle_holds_only_its_result_at_n10():
+    n, d = 10, 2**10
+    c = random_circuit(Random(37), n, 12)
+    assert _traced_peak(circuit_unitary, c) <= 1.25 * d * d * 16
+    u = circuit_unitary(c)
+    ref = np.eye(d, dtype=complex)
+    for label in ("XYZIXYZIXY", "ZZZZZIIIII", "IIIIIIIIIY"):
+        assert _traced_peak(apply_exp_pauli, PauliString.from_label(label), 0.4, ref) <= 4 * 2**20
+    assert _traced_peak(phase_invariant_distance, u, ref) <= 4 * 2**20
