@@ -14,8 +14,8 @@ Rotation conventions, fixed once for the whole package:
 so exp(-i*t*Z) == RZ(2t) and exp(-i*t*X) == RX(2t). CX(a, b) is control a,
 target b; CZ is symmetric and stores its pair in ascending order.
 
-Circuits are immutable values: ``append``, ``dagger`` and ``cancel_adjacent``
-all return new circuits.
+Circuits are immutable values: ``dagger`` and ``cancel_adjacent`` return new
+circuits.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _as_int(value: object, what: str) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate application: kind, qubit tuple, and angle for rotations."""
 
@@ -115,16 +115,21 @@ class Gate:
         return f"{self.kind}({args})"
 
 
+# the slot setters write past the frozen __setattr__, at half its cost
+_set_kind, _set_qubits, _set_angle = (
+    Gate.__dict__[name].__set__ for name in ("kind", "qubits", "angle")
+)
+
+
 def _trusted_gate(kind: str, qubits: tuple[int, ...], angle: float | None = None) -> Gate:
     """A Gate built without ``__post_init__``, whose checks would dominate
     synthesis time. Only for internal callers whose arguments are valid by
     construction: a known kind, a tuple of distinct non-negative ints of the
     right length, and a finite float angle exactly for rotations."""
     gate = object.__new__(Gate)
-    fields = gate.__dict__
-    fields["kind"] = kind
-    fields["qubits"] = qubits
-    fields["angle"] = angle
+    _set_kind(gate, kind)
+    _set_qubits(gate, qubits)
+    _set_angle(gate, angle)
     return gate
 
 
@@ -152,11 +157,6 @@ class QuantumCircuit:
                 raise ValueError(
                     f"gate {gate!r} touches qubit {q}, circuit has {self.n_qubits}"
                 )
-
-    def append(self, gate: Gate) -> QuantumCircuit:
-        """New circuit with ``gate`` appended; self is unchanged."""
-        self._check_bounds(gate)
-        return QuantumCircuit(self.n_qubits, self.gates + (gate,), self.global_phase)
 
     def dagger(self) -> QuantumCircuit:
         """Circuit whose unitary is the conjugate transpose of this one's."""

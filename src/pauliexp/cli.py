@@ -15,15 +15,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
+from itertools import islice
 from typing import Sequence
 
 from .circuit import GATE_KINDS, QuantumCircuit
 from .parser import ParseError, parse_hamiltonian
 from .paulis import Hamiltonian
-from .qasm import emit_qasm
+from .qasm import _qasm_lines
 from .synth import EvolutionParams, SynthVariant, trotter_circuit
 
 VERIFY_THRESHOLD = 1e-8
+_WRITE_BATCH = 4096  # QASM lines per write
 
 
 class _UsageError(Exception):
@@ -109,12 +112,16 @@ def _synthesize(ns: argparse.Namespace, h: Hamiltonian, reps: int = 1) -> Quantu
 
 
 def _emit(ns: argparse.Namespace, circuit: QuantumCircuit) -> None:
-    document = emit_qasm(circuit)
+    """Write the text of ``emit_qasm(circuit)`` to ``--out`` or stdout in
+    batches of lines, so the whole document never exists at once."""
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(document)
+        target = open(ns.out, "w", encoding="utf-8", newline="\n")
     else:
-        sys.stdout.write(document)
+        target = nullcontext(sys.stdout)
+    with target as fh:
+        lines = _qasm_lines(circuit)
+        while batch := list(islice(lines, _WRITE_BATCH)):
+            fh.write("\n".join(batch) + "\n")
 
 
 def _verify(ns: argparse.Namespace, h: Hamiltonian) -> int:

@@ -4,7 +4,7 @@ Everything here is written against the same conventions as the circuit IR:
 qubit 0 is the leftmost Kronecker factor (most significant bit of a basis
 state index), and the canonical target of a synthesis is exp(-i*t*P).
 
-Matrices stay small by construction: Kronecker builds and circuit evaluation
+Matrices stay small by construction: Pauli matrices and circuit evaluation
 cap at ``MAX_DENSE_QUBITS`` and the Hermitian exponential at
 ``MAX_EXPM_QUBITS``. These are desk-scale verification tools, not a
 simulator.
@@ -13,27 +13,16 @@ simulator.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
 from .circuit import CX, CZ, H, RX, RZ, S, SDG, Gate, QuantumCircuit
-from .paulis import Hamiltonian, PauliOp, PauliString
+from .paulis import Hamiltonian, PauliString, _bits
 
 MAX_DENSE_QUBITS = 12
 MAX_EXPM_QUBITS = 8
 # elements in one block of the blocked loops below (1 MiB of complex128)
 _BLOCK_ELEMENTS = 2**16
-
-_PAULI_1Q = {
-    PauliOp.I: np.eye(2, dtype=complex),
-    PauliOp.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    PauliOp.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    PauliOp.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-_I_SIGNS = np.array([1.0, 1.0])
-_ZY_SIGNS = np.array([1.0, -1.0])
 
 _SQRT2_INV = 1 / math.sqrt(2)
 _FIXED_GATES = {
@@ -66,10 +55,36 @@ def _check_qubit_cap(n: int) -> None:
         raise ValueError(f"{n} qubits exceeds the dense-matrix cap of {MAX_DENSE_QUBITS}")
 
 
+def _msb_first(mask: int, n: int) -> int:
+    """An n-bit mask with bit k moved to bit n-1-k: qubit k's bit in a basis index."""
+    return int(f"{mask:0{n}b}"[::-1], 2)
+
+
+def _signed_permutation(p: PauliString) -> tuple[int, np.ndarray]:
+    """(flip, phase) with P|src> = phase[src] * |src ^ flip>.
+
+    flip is the X/Y mask, and phase[src] is i^{#Y} * (-1)^{popcount(src &
+    zy)}, zy being the Z/Y mask, both in basis-index bit order.
+    """
+    n = p.n_qubits
+    flip, zy = _msb_first(p.x, n), _msb_first(p.z, n)
+    rows = np.arange(2**n)
+    parity = np.zeros(2**n, dtype=rows.dtype)
+    for bit in _bits(zy):
+        parity ^= rows >> bit & 1
+    signs = np.where(parity, -1.0, 1.0)
+    return flip, 1j ** (p.x & p.z).bit_count() * signs
+
+
 def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Kronecker product of the single-qubit factors, qubit 0 leftmost."""
+    """The matrix of P, qubit 0 leftmost: one nonzero entry per column,
+    ``m[src ^ flip, src] = phase[src]`` (see :func:`_signed_permutation`)."""
     _check_qubit_cap(p.n_qubits)
-    return reduce(np.kron, (_PAULI_1Q[op] for op in p.ops))
+    flip, phase = _signed_permutation(p)
+    cols = np.arange(len(phase))
+    m = np.zeros((len(phase), len(phase)), dtype=complex)
+    m[cols ^ flip, cols] = phase
+    return m
 
 
 def exp_pauli_closed_form(p: PauliString, t: float) -> np.ndarray:
@@ -87,13 +102,13 @@ def apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.ndarray:
     """Overwrite u, a writable complex128 array with 2^n rows, with
     exp(-i*t*P) @ u, and return it; O(d^2) time, block-sized temporaries.
 
-    P is a signed permutation: it sends basis state src to src ^ flip (flip
-    is the X/Y mask) with phase i^{#Y} * (-1)^{popcount(src & zy_mask)}. So
-    row idx of P @ u is phase(src) * u[src] with src = idx ^ flip, and the
-    result is the value ``exp_pauli_closed_form(p, t) @ u`` without a d x d
-    matmul. Rows idx and idx ^ flip only feed each other, so the update runs
-    over blocks of such row pairs; each element gets the same operations, in
-    the same operand order, as the whole-matrix expression
+    P is a signed permutation (:func:`_signed_permutation`): it sends basis
+    state src to src ^ flip with factor phase[src]. So row idx of P @ u is
+    phase[src] * u[src] with src = idx ^ flip, and the result is the value
+    ``exp_pauli_closed_form(p, t) @ u`` without a d x d matmul. Rows idx
+    and idx ^ flip only feed each other, so the update runs over blocks of
+    such row pairs; each element gets the same operations, in the same
+    operand order, as the whole-matrix expression
     ``cos(t)*u - (1j*sin(t))*(phase[:, None]*u[src])``.
     """
     _check_qubit_cap(p.n_qubits)
@@ -105,13 +120,9 @@ def apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"u must have dtype complex128, got {u.dtype}")
     if not u.flags.writeable:
         raise ValueError("u must be writable, got flags.writeable=False")
-    flip = 0
-    signs = np.ones(1)
-    for op in p.ops:
-        flip = flip << 1 | (op in (PauliOp.X, PauliOp.Y))
-        signs = np.kron(signs, _ZY_SIGNS if op in (PauliOp.Z, PauliOp.Y) else _I_SIGNS)
+    flip, source_phase = _signed_permutation(p)
     rows = np.arange(dim)
-    phase = 1j ** sum(op is PauliOp.Y for op in p.ops) * signs[rows ^ flip]
+    phase = source_phase[rows ^ flip]
     # one row of each pair, the one whose highest flipped bit is clear
     # (every row when flip is 0)
     low = rows[rows & (1 << flip.bit_length() >> 1) == 0]

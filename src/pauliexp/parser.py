@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
-from .paulis import Hamiltonian, PauliOp, PauliString, PauliTerm
+from .paulis import Hamiltonian, PauliString, PauliTerm
 
-_NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _INT_RE = re.compile(r"\d+$")
 
 
@@ -38,68 +37,45 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUMBER | PAULI | ID | STAR | PLUS | MINUS | EOF
     text: str
     position: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+# whitespace and comments match no named group and yield no token
+_TOKEN_RE = re.compile(
+    r"\s+|#[^\n]*"
+    r"|(?P<PAULI>[XYZ])|(?P<ID>Id)|(?P<STAR>\*)|(?P<PLUS>\+)|(?P<MINUS>-)"
+    r"|(?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+)
+
+
+def _tokenize(text: str) -> Iterator[_Token]:
+    """Yield the tokens of ``text`` on demand, then one EOF token.
+
+    Raises ParseError at the first character that starts no token.
+    """
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "XYZ":
-            tokens.append(_Token("PAULI", ch, i))
-            i += 1
-            continue
-        if text.startswith("Id", i):
-            tokens.append(_Token("ID", "Id", i))
-            i += 2
-            continue
-        if ch == "*":
-            tokens.append(_Token("STAR", ch, i))
-            i += 1
-            continue
-        if ch == "+":
-            tokens.append(_Token("PLUS", ch, i))
-            i += 1
-            continue
-        if ch == "-":
-            tokens.append(_Token("MINUS", ch, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NUMBER", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(i, f"unknown token {ch!r}")
-    tokens.append(_Token("EOF", "", n))
-    return tokens
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            raise ParseError(i, f"unknown token {text[i]!r}")
+        if m.lastgroup:
+            yield _Token(m.lastgroup, m.group(), i)
+        i = m.end()
+    yield _Token("EOF", "", n)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], n_qubits: int) -> None:
+    def __init__(self, tokens: Iterator[_Token], n_qubits: int) -> None:
         self.tokens = tokens
-        self.pos = 0
+        self.here = next(tokens)
         self.n_qubits = n_qubits
 
-    @property
-    def here(self) -> _Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.here
+        self.here = next(self.tokens, tok)  # EOF stays put once the stream ends
         return tok
 
     def parse(self) -> Hamiltonian:
@@ -144,15 +120,14 @@ class _Parser:
             tok = self.advance()
             if not explicit_coeff:
                 raise ParseError(tok.position, "'Id' requires an explicit coefficient")
-            ops = [PauliOp.I] * self.n_qubits
-            return PauliTerm(coeff, PauliString(tuple(ops)))
+            return PauliTerm(coeff, PauliString._from_masks(self.n_qubits, 0, 0))
 
         if self.here.kind != "PAULI":
             raise ParseError(
                 self.here.position,
                 f"expected a Pauli factor, got {self.here.text or 'end of input'!r}",
             )
-        ops = [PauliOp.I] * self.n_qubits
+        x = z = 0
         while self.here.kind == "PAULI":
             factor = self.advance()
             idx_tok = self.advance()
@@ -164,10 +139,14 @@ class _Parser:
                     idx_tok.position,
                     f"qubit index {index} out of range for {self.n_qubits} qubits",
                 )
-            if ops[index] is not PauliOp.I:
+            bit = 1 << index
+            if (x | z) & bit:
                 raise ParseError(factor.position, f"qubit {index} assigned twice in one term")
-            ops[index] = PauliOp(factor.text)
-        return PauliTerm(coeff, PauliString(tuple(ops)))
+            if factor.text != "Z":
+                x |= bit
+            if factor.text != "X":
+                z |= bit
+        return PauliTerm(coeff, PauliString._from_masks(self.n_qubits, x, z))
 
 
 def parse_hamiltonian(text: str, n_qubits: int) -> Hamiltonian:
@@ -178,7 +157,15 @@ def parse_hamiltonian(text: str, n_qubits: int) -> Hamiltonian:
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be positive")
-    return _Parser(_tokenize(text), n_qubits).parse()
+    tokens = _tokenize(text)
+    try:
+        return _Parser(tokens, n_qubits).parse()
+    except ValueError:
+        # an unknown character anywhere in the text is reported before any
+        # grammar error: finish tokenizing, which raises at the first one
+        for _ in tokens:
+            pass
+        raise
 
 
 def _format_coefficient(c: float) -> str:
@@ -198,8 +185,7 @@ def format_hamiltonian(h: Hamiltonian) -> str:
     rendered = []
     for term in h.terms:
         coeff = _format_coefficient(term.coefficient)
-        factors = " ".join(
-            f"{op.value}{k}" for k, op in enumerate(term.string.ops) if op is not PauliOp.I
-        )
+        string = term.string
+        factors = " ".join(f"{string[k].value}{k}" for k in string.support)
         rendered.append(f"{coeff}*{factors}" if factors else f"{coeff}*Id")
     return " + ".join(rendered)

@@ -4,16 +4,20 @@ A Pauli string assigns one of I, X, Y, Z to each qubit; a Hamiltonian is an
 ordered list of real-weighted strings. Everything here is an immutable value:
 construct once, share freely.
 
-Qubit indexing is 0-based throughout, and strings are stored dense (identity
-entries included) so that position k always names qubit k.
+Qubit indexing is 0-based throughout. A string is stored in the symplectic
+form of Aaronson and Gottesman (arXiv:quant-ph/0406196): two Python ints,
+``x`` and ``z``, whose bit k is qubit k's X and Z component. Support and
+weight are then bit operations, and a string costs two ints whatever its
+width. Labels, ``ops``, indexing and iteration are views of the masks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .circuit import _as_int
 
@@ -30,17 +34,27 @@ class PauliOp(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PauliString:
-    """A dense assignment of one PauliOp per qubit, length >= 1."""
+    """One Pauli per qubit, at least one qubit, as two bit masks.
 
-    ops: tuple[PauliOp, ...]
+    Qubit k is bit k of ``x`` and of ``z``: I is (0, 0), X is (1, 0), Y is
+    (1, 1) and Z is (0, 1). ``PauliString(ops)`` takes a sequence of
+    PauliOp values and checks it; ``ops``, ``len``, indexing and iteration
+    are views of the masks.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.ops) < 1:
+    n_qubits: int
+    x: int
+    z: int
+
+    def __init__(self, ops: Iterable[PauliOp]) -> None:
+        ops = tuple(ops)
+        if len(ops) < 1:
             raise ValueError("a Pauli string needs at least one qubit")
-        if not all(isinstance(op, PauliOp) for op in self.ops):
+        if not all(isinstance(op, PauliOp) for op in ops):
             raise TypeError("ops must all be PauliOp values")
+        _init_fields(self, len(ops), *_label_masks("".join(op.value for op in ops)))
 
     @classmethod
     def from_label(cls, label: str) -> PauliString:
@@ -51,39 +65,55 @@ class PauliString:
         """
         if not label:
             raise ValueError("empty Pauli label")
-        ops = []
-        for pos, ch in enumerate(label):
-            try:
-                ops.append(PauliOp(ch))
-            except ValueError:
-                raise ValueError(
-                    f"invalid Pauli character {ch!r} at position {pos}"
-                ) from None
-        return cls(tuple(ops))
+        rest = label.lstrip("IXYZ")  # starts at the first other character
+        if rest:
+            raise ValueError(
+                f"invalid Pauli character {rest[0]!r} at position {len(label) - len(rest)}"
+            )
+        return cls._from_masks(len(label), *_label_masks(label))
+
+    @classmethod
+    def _from_masks(cls, n_qubits: int, x: int, z: int) -> PauliString:
+        """A string built without checks, for internal callers whose masks
+        are valid by construction: ``n_qubits >= 1`` and ``0 <= x, z <
+        2**n_qubits``."""
+        p = object.__new__(cls)
+        _init_fields(p, n_qubits, x, z)
+        return p
 
     def to_label(self) -> str:
         """Dense label; exact inverse of :meth:`from_label`."""
-        return "".join(op.value for op in self.ops)
+        n = self.n_qubits
+        xs, zs = f"{self.x:0{n}b}"[::-1], f"{self.z:0{n}b}"[::-1]
+        return "".join(_LABEL_CHARS[xc + zc] for xc, zc in zip(xs, zs))
 
     @property
-    def n_qubits(self) -> int:
-        return len(self.ops)
+    def ops(self) -> tuple[PauliOp, ...]:
+        """One PauliOp per qubit, qubit 0 first."""
+        return tuple(map(PauliOp, self.to_label()))
 
     @property
     def weight(self) -> int:
         """Number of non-identity entries."""
-        return sum(1 for op in self.ops if op is not PauliOp.I)
+        return (self.x | self.z).bit_count()
 
     @property
     def support(self) -> tuple[int, ...]:
         """Ascending qubit indices of the non-identity entries."""
-        return tuple(k for k, op in enumerate(self.ops) if op is not PauliOp.I)
+        return _bits(self.x | self.z)
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return self.n_qubits
 
     def __getitem__(self, k: int) -> PauliOp:
-        return self.ops[k]
+        if isinstance(k, slice):
+            return self.ops[k]
+        n = self.n_qubits
+        k = operator.index(k)
+        if not -n <= k < n:
+            raise IndexError(f"qubit {k} out of range for {n} qubits")
+        k %= n
+        return _OPS[(self.x >> k & 1) | (self.z >> k & 1) << 1]
 
     def __iter__(self) -> Iterator[PauliOp]:
         return iter(self.ops)
@@ -92,7 +122,39 @@ class PauliString:
         return f"PauliString({self.to_label()!r})"
 
 
-@dataclass(frozen=True)
+_OPS = (PauliOp.I, PauliOp.X, PauliOp.Z, PauliOp.Y)  # indexed by x bit + 2 * z bit
+_LABEL_CHARS = {"00": "I", "10": "X", "11": "Y", "01": "Z"}  # keyed by x bit, z bit
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
+# the slot setters write past the frozen __setattr__
+_set_n_qubits, _set_x, _set_z = (
+    PauliString.__dict__[name].__set__ for name in ("n_qubits", "x", "z")
+)
+
+
+def _init_fields(p: PauliString, n_qubits: int, x: int, z: int) -> None:
+    _set_n_qubits(p, n_qubits)
+    _set_x(p, x)
+    _set_z(p, z)
+
+
+def _label_masks(label: str) -> tuple[int, int]:
+    """The x and z masks of a valid dense label (character k is bit k)."""
+    reverse = label[::-1]
+    return int(reverse.translate(_X_DIGITS), 2), int(reverse.translate(_Z_DIGITS), 2)
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Ascending positions of the set bits of a non-negative int."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(positions)
+
+
+@dataclass(frozen=True, slots=True)
 class PauliTerm:
     """A Pauli string with a real weight."""
 

@@ -9,6 +9,7 @@ comment, since OpenQASM 2.0 has no phase statement.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .circuit import QuantumCircuit
 
@@ -29,23 +30,28 @@ def _angle(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _qasm_lines(circuit: QuantumCircuit) -> Iterator[str]:
+    """The document's lines in order, without line endings."""
+    yield from _HEADER
+    yield f"qreg q[{circuit.n_qubits}];"
+    for gate in circuit.gates:
+        if gate.angle is not None:
+            yield f"{gate.kind}({_angle(gate.angle)}) q[{gate.qubits[0]}];"
+        elif len(gate.qubits) == 1:
+            yield f"{gate.kind} q[{gate.qubits[0]}];"
+        else:
+            yield f"{gate.kind} q[{gate.qubits[0]}],q[{gate.qubits[1]}];"
+    if circuit.global_phase != 0.0:
+        yield f"// global phase: {_angle(circuit.global_phase)}"
+
+
 def emit_qasm(circuit: QuantumCircuit) -> str:
     """Render the circuit as an OpenQASM 2.0 document (LF endings, trailing newline).
 
     Emission is deterministic: identical circuits produce byte-identical
     text.
     """
-    lines = [*_HEADER, f"qreg q[{circuit.n_qubits}];"]
-    for gate in circuit.gates:
-        if gate.angle is not None:
-            lines.append(f"{gate.kind}({_angle(gate.angle)}) q[{gate.qubits[0]}];")
-        elif len(gate.qubits) == 1:
-            lines.append(f"{gate.kind} q[{gate.qubits[0]}];")
-        else:
-            lines.append(f"{gate.kind} q[{gate.qubits[0]}],q[{gate.qubits[1]}];")
-    if circuit.global_phase != 0.0:
-        lines.append(f"// global phase: {_angle(circuit.global_phase)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_qasm_lines(circuit)) + "\n"
 
 
 def validate_qasm(text: str) -> None:

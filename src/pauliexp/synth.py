@@ -37,7 +37,7 @@ from .circuit import (
     _trusted_gate,
     cancel_adjacent,
 )
-from .paulis import Hamiltonian, PauliOp, PauliString, PauliTerm
+from .paulis import Hamiltonian, PauliString, PauliTerm, _bits
 
 
 class SynthVariant(Enum):
@@ -95,15 +95,16 @@ def _wrap_layers(
     string: PauliString, support: tuple[int, ...], variant: SynthVariant
 ) -> list[tuple[list[Gate], list[Gate]]]:
     """Basis-change layers, innermost first, as (pre, post) gate lists."""
+    x_only, y, z_only = string.x & ~string.z, string.x & string.z, string.z & ~string.x
     if variant is SynthVariant.Z_LADDER:
         pre: list[Gate] = []
         post: list[Gate] = []
         for k in support:
-            if string[k] is PauliOp.X:
+            if x_only >> k & 1:
                 h = _trusted_gate(H, (k,))
                 pre.append(h)
                 post.append(h)
-            elif string[k] is PauliOp.Y:
+            elif y >> k & 1:
                 h = _trusted_gate(H, (k,))
                 pre += [_trusted_gate(SDG, (k,)), h]
                 post += [h, _trusted_gate(S, (k,))]
@@ -113,17 +114,17 @@ def _wrap_layers(
         x_legs = support
         outer_pre, outer_post = [], []
         for k in support:
-            if string[k] is PauliOp.Z:
+            if z_only >> k & 1:
                 h = _trusted_gate(H, (k,))
                 outer_pre.append(h)
                 outer_post.append(h)
-            elif string[k] is PauliOp.Y:
+            elif y >> k & 1:
                 outer_pre.append(_trusted_gate(SDG, (k,)))
                 outer_post.append(_trusted_gate(S, (k,)))
     else:  # MIXED: X legs only where the string has X or Y
-        x_legs = tuple(k for k in support if string[k] in (PauliOp.X, PauliOp.Y))
-        outer_pre = [_trusted_gate(SDG, (k,)) for k in support if string[k] is PauliOp.Y]
-        outer_post = [_trusted_gate(S, (k,)) for k in support if string[k] is PauliOp.Y]
+        x_legs, y_legs = _bits(string.x), _bits(y)
+        outer_pre = [_trusted_gate(SDG, (k,)) for k in y_legs]
+        outer_post = [_trusted_gate(S, (k,)) for k in y_legs]
 
     inner = [_trusted_gate(H, (k,)) for k in x_legs]
     return [(inner, list(inner)), (outer_pre, outer_post)]

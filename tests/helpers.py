@@ -3,12 +3,14 @@
 All random generators take a seeded Random from the caller.
 """
 
+import math
+from functools import reduce
 from random import Random
 
 import numpy as np
 
-from pauliexp import Gate, Hamiltonian, PauliString, PauliTerm, QuantumCircuit
-from pauliexp.oracle import _gate_matrix
+from pauliexp import Gate, Hamiltonian, PauliOp, PauliString, PauliTerm, QuantumCircuit
+from pauliexp.oracle import _BLOCK_ELEMENTS, _gate_matrix
 
 PAULI_CHARS = "IXYZ"
 
@@ -111,4 +113,52 @@ def reference_circuit_unitary(c: QuantumCircuit) -> np.ndarray:
         u = np.moveaxis(tensor, tuple(range(k)), gate.qubits).reshape(u.shape)
     if c.global_phase != 0.0:
         u = np.exp(1j * c.global_phase) * u
+    return u
+
+
+_PAULI_1Q = {
+    PauliOp.I: np.eye(2, dtype=complex),
+    PauliOp.X: np.array([[0, 1], [1, 0]], dtype=complex),
+    PauliOp.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
+    PauliOp.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def reference_pauli_matrix(p: PauliString) -> np.ndarray:
+    """pauli_matrix as first written, kept as its reference: the Kronecker
+    product of the single-qubit factors, qubit 0 leftmost."""
+    return reduce(np.kron, (_PAULI_1Q[op] for op in p.ops))
+
+
+def reference_hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
+    """hamiltonian_matrix built from :func:`reference_pauli_matrix`."""
+    total = np.zeros((2**h.n_qubits, 2**h.n_qubits), dtype=complex)
+    for term in h.terms:
+        total += term.coefficient * reference_pauli_matrix(term.string)
+    return total
+
+
+def reference_apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.ndarray:
+    """apply_exp_pauli as written over dense ops, kept as its reference: the
+    flip mask and the Z/Y signs are built one PauliOp at a time, the signs
+    by a Kronecker chain."""
+    dim = 2**p.n_qubits
+    flip = 0
+    signs = np.ones(1)
+    for op in p.ops:
+        flip = flip << 1 | (op in (PauliOp.X, PauliOp.Y))
+        zy = op in (PauliOp.Z, PauliOp.Y)
+        signs = np.kron(signs, np.array([1.0, -1.0]) if zy else np.array([1.0, 1.0]))
+    rows = np.arange(dim)
+    phase = 1j ** sum(op is PauliOp.Y for op in p.ops) * signs[rows ^ flip]
+    low = rows[rows & (1 << flip.bit_length() >> 1) == 0]
+    cos, isin = math.cos(t), 1j * math.sin(t)
+    step = max(1, _BLOCK_ELEMENTS // (2 * max(1, u.shape[1])))
+    for start in range(0, len(low), step):
+        lo = low[start : start + step]
+        hi = lo ^ flip
+        a, b = u[lo], u[hi]
+        u[lo] = cos * a - isin * (phase[lo, None] * b)
+        if flip:
+            u[hi] = cos * b - isin * (phase[hi, None] * a)
     return u

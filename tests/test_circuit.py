@@ -1,5 +1,6 @@
 """Gate/circuit IR: construction, dagger, counts, and peephole cancellation."""
 
+from dataclasses import FrozenInstanceError
 from random import Random
 
 import numpy as np
@@ -20,22 +21,13 @@ from pauliexp import (
     trotter_circuit,
     validate_qasm,
 )
+from pauliexp.circuit import _trusted_gate
 from helpers import random_circuit, random_hamiltonian, reference_cancel_adjacent
 
 
-def test_append_returns_new_circuit():
-    empty = QuantumCircuit(2)
-    one = empty.append(Gate.h(0))
-    assert one.gates == (Gate.h(0),)
-    assert empty.gates == ()
-    two = one.append(Gate.cx(0, 1))
-    assert two.gates == (Gate.h(0), Gate.cx(0, 1))
-
-
-def test_append_checks_bounds():
-    c = QuantumCircuit(2, (Gate.h(0),))
+def test_construction_checks_bounds():
     with pytest.raises(ValueError, match="qubit 5"):
-        c.append(Gate.cx(0, 5))
+        QuantumCircuit(2, (Gate.h(0), Gate.cx(0, 5)))
 
 
 def test_gate_validation():
@@ -78,6 +70,24 @@ def test_integer_like_indices_are_stored_as_int_tuples():
 def test_cz_is_stored_symmetrically():
     assert Gate.cz(3, 1) == Gate.cz(1, 3)
     assert Gate.cz(3, 1).qubits == (1, 3)
+
+
+def test_gates_have_no_dict_and_trusted_gates_equal_validated_ones():
+    pairs = [
+        (_trusted_gate("cx", (0, 1)), Gate.cx(0, 1)),
+        (_trusted_gate("h", (2,)), Gate.h(2)),
+        (_trusted_gate("rz", (1,), 0.5), Gate.rz(1, 0.5)),
+    ]
+    for trusted, validated in pairs:
+        assert not hasattr(trusted, "__dict__") and not hasattr(validated, "__dict__")
+        assert trusted == validated and hash(trusted) == hash(validated)
+        assert repr(trusted) == repr(validated)
+        with pytest.raises(FrozenInstanceError):
+            trusted.kind = "s"
+    h = Hamiltonian(3, (PauliTerm(0.4, PauliString.from_label("XYZ")),))
+    for variant in SynthVariant:
+        gates = trotter_circuit(h, EvolutionParams(0.3, 2), variant).gates
+        assert not any(hasattr(g, "__dict__") for g in gates)
 
 
 def test_dagger_maps_s_to_sdg():

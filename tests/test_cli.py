@@ -11,10 +11,12 @@ from pauliexp import (
     PauliTerm,
     SynthVariant,
     circuit_unitary,
+    emit_qasm,
     exp_pauli_closed_form,
     format_hamiltonian,
     hamiltonian_matrix,
     matrix_exponential,
+    parse_hamiltonian,
     phase_invariant_distance,
     trotter_circuit,
     validate_qasm,
@@ -57,6 +59,30 @@ def test_synth_compact_collapses_repeated_terms(capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out == ZZ_QASM
+
+
+STREAM_HAM = "0.5*Z0 Z1 Z2 + 0.3*X1 Y3 Z4 - 0.2*Id + 0.7*Y0 X2"
+
+
+@pytest.mark.parametrize("variant", ["z-ladder", "x-ladder", "mixed"])
+@pytest.mark.parametrize("compact", [False, True])
+def test_streamed_document_equals_emit_qasm(variant, compact, tmp_path, capsys):
+    h = parse_hamiltonian(STREAM_HAM, 5)
+    params = EvolutionParams(0.9, 300)
+    expected = emit_qasm(trotter_circuit(h, params, SynthVariant(variant), compact))
+    assert "\n// global phase: " in expected  # from the Id term
+    if not compact:
+        assert expected.count("\n") > 4096  # more than one write batch
+    argv = ["trotter", "--ham", STREAM_HAM, "--n", "5", "--t", "0.9", "--reps", "300",
+            "--variant", variant] + (["--compact"] if compact else [])
+    # compared as bytes: pytest reports the first differing byte instead of
+    # diffing thousands of lines
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out.encode() == expected.encode()
+    target = tmp_path / "stream.qasm"
+    assert run_cli([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == expected.encode()
 
 
 def test_trotter_repeats_slices(capsys):

@@ -85,6 +85,13 @@ def test_rejected_inputs_carry_positions(text, n, fragment):
     assert 0 <= err.value.position <= len(text)
 
 
+def test_unknown_character_outranks_an_earlier_grammar_error():
+    # the whole text is tokenized before a grammar error is reported
+    with pytest.raises(ParseError) as err:
+        parse_hamiltonian("1*Z0 Z0 + Q1", 2)
+    assert (err.value.position, err.value.message) == (10, "unknown token 'Q'")
+
+
 def test_format_canonical_examples():
     zz = Hamiltonian(2, (PauliTerm(1.0, PauliString.from_label("ZZ")),))
     assert format_hamiltonian(zz) == "1*Z0 Z1"
