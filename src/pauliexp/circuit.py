@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 H = "h"
@@ -192,10 +193,14 @@ def cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
     never become adjacent.
     """
     kept: list[Gate | None] = []
-    # per qubit, indices into kept of its live gates; the top is the latest
-    live: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
+    # per touched qubit, indices into kept of its live gates; the top is the latest
+    live: defaultdict[int, list[int]] = defaultdict(list)
     for gate in circuit.gates:
-        j = max((live[q][-1] for q in gate.qubits if live[q]), default=-1)
+        j = -1  # the latest live gate on any of the gate's qubits
+        for q in gate.qubits:
+            stack = live[q]
+            if stack and stack[-1] > j:
+                j = stack[-1]
         prev = kept[j] if j >= 0 else None
         if prev is not None and prev.qubits == gate.qubits and (
             _INVERSE_KIND.get(prev.kind) == gate.kind

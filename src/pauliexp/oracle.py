@@ -7,12 +7,17 @@ state index), and the canonical target of a synthesis is exp(-i*t*P).
 Matrices stay small by construction: Pauli matrices and circuit evaluation
 cap at ``MAX_DENSE_QUBITS`` and the Hermitian exponential at
 ``MAX_EXPM_QUBITS``. These are desk-scale verification tools, not a
-simulator.
+simulator. The loops run over column blocks: the circuit unitary is built
+one block at a time, ``verify`` regenerates the per-term reference one
+block at a time instead of holding it whole, and the distance sums both its
+phase-fixing overlap and its squared norm block by block.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -236,6 +241,56 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
     return total
 
 
+def _per_term_columns(h: Hamiltonian, t: float, start: int, stop: int) -> np.ndarray:
+    """Columns start:stop of the per-term reference, the product of
+    exp(-i*t*w_k*P_k) over the terms with the first term applied first.
+
+    Each column is its column of the identity run through
+    :func:`apply_exp_pauli`, which computes every element the same way
+    whatever the number of columns, so a block equals the matching columns
+    of the whole product bit for bit.
+    """
+    block = np.zeros((2**h.n_qubits, stop - start), dtype=complex)
+    block[np.arange(start, stop), np.arange(stop - start)] = 1
+    for term in h.terms:
+        apply_exp_pauli(term.string, t * term.coefficient, block)
+    return block
+
+
+def _column_distance(a: np.ndarray, b_columns: Callable[[int, int], np.ndarray]) -> float:
+    """phase_invariant_distance of a 2-D a and the matrix b of a's shape
+    whose columns start:stop ``b_columns(start, stop)`` returns.
+
+    Each block of b is asked for twice, once per pass: the first sums the
+    overlap vdot(b, a) block by block, in column order, to fix the phase;
+    the second sums the squared norm of the difference. A block holds half
+    of ``_BLOCK_ELEMENTS`` elements, because a block of each side, the
+    scaled one and the difference are live at once. Blocks of a are
+    contiguous copies, like the blocks b_columns returns, so the arithmetic
+    sees the same memory layout, and rounds alike, whichever way b's
+    columns were made.
+    """
+    rows, cols = a.shape
+    width = max(1, _BLOCK_ELEMENTS // 2 // max(1, rows))
+    blocks = [(start, min(start + width, cols)) for start in range(0, cols, width)]
+    overlap = 0j
+    for start, stop in blocks:
+        overlap += np.vdot(b_columns(start, stop), np.ascontiguousarray(a[:, start:stop]))
+    w = np.exp(1j * np.angle(overlap))
+    total = 0.0
+    for start, stop in blocks:
+        diff = np.ascontiguousarray(a[:, start:stop]) - w * b_columns(start, stop)
+        total += np.vdot(diff, diff).real
+    return math.sqrt(total)
+
+
+def _per_term_distance(u: np.ndarray, h: Hamiltonian, t: float) -> float:
+    """phase_invariant_distance(u, R), bit for bit, for R the per-term
+    reference of h at t, which is regenerated by column blocks and never
+    built whole."""
+    return _column_distance(u, partial(_per_term_columns, h, t))
+
+
 def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     """min over phi of the Frobenius norm ||a - exp(i*phi)*b||.
 
@@ -243,15 +298,14 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     at phi = arg(trace(b^dag a)) = arg(vdot(b, a)); evaluating the difference
     there instead of expanding ||a||^2 + ||b||^2 - 2|trace| keeps full
     precision near zero, where the expanded form cancels catastrophically.
-    The squared norm of the difference is summed over row blocks, so no
-    temporary larger than a block is made.
+    Both the overlap and the squared norm of the difference are summed over
+    column blocks (a 1-D input is one row), so no temporary larger than a
+    block is made.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    w = np.exp(1j * np.angle(np.vdot(b, a)))
-    step = max(1, _BLOCK_ELEMENTS // max(1, math.prod(a.shape[1:])))
-    total = 0.0
-    for start in range(0, len(a), step):
-        diff = a[start : start + step] - w * b[start : start + step]
-        total += np.vdot(diff, diff).real
-    return math.sqrt(total)
+    shape = (len(a), math.prod(a.shape[1:])) if a.ndim > 1 else (1, a.size)
+    b = b.reshape(shape)
+    return _column_distance(
+        a.reshape(shape), lambda start, stop: np.ascontiguousarray(b[:, start:stop])
+    )

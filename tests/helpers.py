@@ -10,7 +10,7 @@ from random import Random
 import numpy as np
 
 from pauliexp import Gate, Hamiltonian, PauliOp, PauliString, PauliTerm, QuantumCircuit
-from pauliexp.oracle import _BLOCK_ELEMENTS, _gate_matrix
+from pauliexp.oracle import _BLOCK_ELEMENTS, _gate_matrix, apply_exp_pauli
 
 PAULI_CHARS = "IXYZ"
 
@@ -20,6 +20,11 @@ def random_pauli_label(rng: Random, n: int, min_weight: int = 0) -> str:
         label = "".join(rng.choice(PAULI_CHARS) for _ in range(n))
         if sum(ch != "I" for ch in label) >= min_weight:
             return label
+
+
+def label_of(n: int, x: int, z: int) -> str:
+    """Character k is I, X, Z or Y for bits (x_k, z_k) = 00, 10, 01, 11."""
+    return "".join("IXZY"[(x >> k & 1) | (z >> k & 1) << 1] for k in range(n))
 
 
 def random_pauli_string(rng: Random, n: int, min_weight: int = 0) -> PauliString:
@@ -161,4 +166,14 @@ def reference_apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.nda
         u[lo] = cos * a - isin * (phase[lo, None] * b)
         if flip:
             u[hi] = cos * b - isin * (phase[hi, None] * a)
+    return u
+
+
+def reference_per_term_product(h: Hamiltonian, t: float) -> np.ndarray:
+    """The per-term verify reference built whole, the test reference for the
+    column blocks verify regenerates: the identity run through
+    apply_exp_pauli once per term, first term first."""
+    u = np.eye(2**h.n_qubits, dtype=complex)
+    for term in h.terms:
+        apply_exp_pauli(term.string, t * term.coefficient, u)
     return u

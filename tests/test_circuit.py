@@ -1,5 +1,6 @@
 """Gate/circuit IR: construction, dagger, counts, and peephole cancellation."""
 
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from random import Random
 
@@ -227,6 +228,18 @@ def test_cancel_adjacent_matches_reference_on_cancel_prone_circuits():
         assert cancel_adjacent(compacted) == compacted
         changed += compacted != c
     assert changed > 750  # the generator really exercises the peephole
+
+
+def test_cancel_adjacent_memory_follows_the_gates_not_the_width():
+    c = QuantumCircuit(10**6, (Gate.cx(0, 1), Gate.rz(1, 0.5)))
+    tracemalloc.start()
+    try:
+        compacted = cancel_adjacent(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert compacted == c
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("variant", list(SynthVariant))

@@ -1,5 +1,6 @@
 """CLI behavior: subcommand output, exit codes, file handling."""
 
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -267,3 +268,19 @@ def test_verify_output_is_replayable_from_public_oracle_calls(capsys):
         assert rc == (0 if verdict == "PASS" else 2)
         verdicts.add((exact, verdict))
     assert verdicts == {(False, "PASS"), (True, "PASS"), (True, "FAIL")}
+
+
+def test_per_term_verify_holds_one_dense_matrix_at_n10(capsys):
+    n, d = 10, 2**10
+    h = "0.3*X0 Y1 Z2 X3 Y4 Z5 X6 Y7 Z8 X9 + 0.2*Z0 Z1 Z2 Z3 Z4 + 0.1*Y0 Y1 X2 X3 Z4 Z5 Y6 Y7 X8 X9"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rc = run_cli(["verify", "--ham", h, "--n", str(n), "--t", "0.4"])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (rc, capsys.readouterr().out[-5:]) == (0, "PASS\n")
+    # the circuit unitary, as in test_dense_oracle_holds_only_its_result_at_n10,
+    # plus block-sized temporaries: no second d x d matrix
+    assert peak <= 1.25 * d * d * 16 + 4 * 2**20

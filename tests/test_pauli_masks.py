@@ -23,18 +23,18 @@ from pauliexp import (
     pauli_matrix,
 )
 from pauliexp.oracle import apply_exp_pauli
-from helpers import reference_apply_exp_pauli, reference_hamiltonian_matrix, reference_pauli_matrix
+from helpers import (
+    label_of,
+    reference_apply_exp_pauli,
+    reference_hamiltonian_matrix,
+    reference_pauli_matrix,
+)
 
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
 except ImportError:  # pragma: no cover - depends on the environment
     st = None
-
-
-def label_of(n: int, x: int, z: int) -> str:
-    """Character k is I, X, Z or Y for bits (x_k, z_k) = 00, 10, 01, 11."""
-    return "".join("IXZY"[(x >> k & 1) | (z >> k & 1) << 1] for k in range(n))
 
 
 def for_labels(min_n: int, max_n: int, examples: int = 100):
