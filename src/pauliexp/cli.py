@@ -23,7 +23,13 @@ from .circuit import GATE_KINDS, QuantumCircuit
 from .parser import ParseError, parse_hamiltonian
 from .paulis import Hamiltonian
 from .qasm import _qasm_lines
-from .synth import EvolutionParams, SynthVariant, trotter_circuit
+from .synth import (
+    EvolutionParams,
+    SynthVariant,
+    _product_gates,
+    _product_phase,
+    trotter_circuit,
+)
 
 VERIFY_THRESHOLD = 1e-8
 _WRITE_BATCH = 4096  # QASM lines per write
@@ -37,6 +43,24 @@ class _Parser(argparse.ArgumentParser):
     # raise instead of exiting so run_cli controls the exit code
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+
+# options whose value may start with "-": a Hamiltonian "-1*Z0", a file name,
+# or an angle "-1e-3" that argparse's negative-number pattern does not match
+_DASH_VALUE_OPTIONS = frozenset({"--ham", "--ham-file", "--t"})
+
+
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """argv with each ``--opt value`` of ``_DASH_VALUE_OPTIONS`` written as
+    ``--opt=value``, so argparse takes the next argument as the value
+    whatever it starts with. An option with no next argument is left as is."""
+    args = iter(argv)
+    attached = []
+    for arg in args:
+        if arg in _DASH_VALUE_OPTIONS and (value := next(args, None)) is not None:
+            arg = f"{arg}={value}"
+        attached.append(arg)
+    return attached
 
 
 def _positive_int(text: str) -> int:
@@ -105,21 +129,33 @@ def _load_hamiltonian(ns: argparse.Namespace) -> Hamiltonian:
     return parse_hamiltonian(text, ns.n)
 
 
-def _synthesize(ns: argparse.Namespace, h: Hamiltonian, reps: int = 1) -> QuantumCircuit:
-    params = EvolutionParams(ns.t, reps)
+def _synthesize(ns: argparse.Namespace, h: Hamiltonian) -> QuantumCircuit:
     compact = getattr(ns, "compact", False)
-    return trotter_circuit(h, params, SynthVariant(ns.variant), compact)
+    return trotter_circuit(h, EvolutionParams(ns.t), SynthVariant(ns.variant), compact)
 
 
-def _emit(ns: argparse.Namespace, circuit: QuantumCircuit) -> None:
-    """Write the text of ``emit_qasm(circuit)`` to ``--out`` or stdout in
-    batches of lines, so the whole document never exists at once."""
+def _emit(ns: argparse.Namespace, h: Hamiltonian, reps: int = 1) -> None:
+    """Write the QASM document of the Trotter product to ``--out`` or stdout
+    in batches of lines, so the whole text never exists at once.
+
+    Without ``--compact`` no circuit is built either: the gates are
+    synthesized term by term as the lines are written. Every term is checked
+    before the target is opened, so an error leaves stdout empty and creates
+    no file.
+    """
+    params = EvolutionParams(ns.t, reps)
+    variant = SynthVariant(ns.variant)
+    if ns.compact:
+        circuit = trotter_circuit(h, params, variant, compact=True)
+        lines = _qasm_lines(circuit.n_qubits, circuit.gates, circuit.global_phase)
+    else:
+        phase = _product_phase(h, params)
+        lines = _qasm_lines(h.n_qubits, _product_gates(h, params, variant), phase)
     if ns.out:
         target = open(ns.out, "w", encoding="utf-8", newline="\n")
     else:
         target = nullcontext(sys.stdout)
     with target as fh:
-        lines = _qasm_lines(circuit)
         while batch := list(islice(lines, _WRITE_BATCH)):
             fh.write("\n".join(batch) + "\n")
 
@@ -172,7 +208,7 @@ def _stats(ns: argparse.Namespace, h: Hamiltonian) -> int:
 def run_cli(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = parser.parse_args(_attach_values(argv))
         h = _load_hamiltonian(ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -186,10 +222,10 @@ def run_cli(argv: Sequence[str]) -> int:
 
     try:
         if ns.command == "synth":
-            _emit(ns, _synthesize(ns, h))
+            _emit(ns, h)
             return 0
         if ns.command == "trotter":
-            _emit(ns, _synthesize(ns, h, reps=ns.reps))
+            _emit(ns, h, reps=ns.reps)
             return 0
         if ns.command == "verify":
             return _verify(ns, h)

@@ -169,6 +169,55 @@ def _apply_gate(
     view[...] = out.reshape(view.shape)
 
 
+def _part(ndim: int, qubits: tuple[int, ...], bits: tuple[int, ...]) -> tuple:
+    """Index of the view of a (2,)*n + (m,) tensor where qubit qubits[i]
+    has the value bits[i]."""
+    index: list = [slice(None)] * ndim
+    for q, bit in zip(qubits, bits):
+        index[q] = bit
+    return tuple(index)
+
+
+def _swap_parts(
+    zero: tuple, one: tuple, tensor: np.ndarray, gathered: np.ndarray, product: np.ndarray
+) -> None:
+    """CX in place: swap the target's 0 and 1 parts where the control is 1."""
+    a, b = tensor[zero], tensor[one]
+    saved = gathered.reshape(-1)[: a.size].reshape(a.shape)
+    saved[...] = a
+    a[...] = b
+    b[...] = saved
+
+
+def _scale_part(
+    factor: complex, part: tuple, tensor: np.ndarray, gathered: np.ndarray, product: np.ndarray
+) -> None:
+    """CZ, S or Sdg in place: multiply the part where its qubits are all 1."""
+    tensor[part] *= factor
+
+
+# phase on the all-ones part of a diagonal gate whose other entries are 1
+_PHASE_FACTORS = {CZ: -1, S: 1j, SDG: -1j}
+
+
+def _kernel(gate: Gate, ndim: int) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
+    """The in-place update of a block tensor by ``gate``.
+
+    CX, CZ, S and Sdg only move entries or multiply them by -1, i or -i,
+    which a copy or an elementwise multiply does exactly, without the
+    small matrix product; their nonzero results equal the product's bit for
+    bit. H, RZ and RX keep the product: elementwise arithmetic would round
+    differently from the BLAS kernel.
+    """
+    qubits = gate.qubits
+    if gate.kind == CX:
+        return partial(_swap_parts, _part(ndim, qubits, (1, 0)), _part(ndim, qubits, (1, 1)))
+    if gate.kind in _PHASE_FACTORS:
+        all_ones = _part(ndim, qubits, (1,) * len(qubits))
+        return partial(_scale_part, _PHASE_FACTORS[gate.kind], all_ones)
+    return partial(_apply_gate, _gate_matrix(gate), qubits)
+
+
 def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
     """Multiply out the circuit's gates in application order, phase included.
 
@@ -179,7 +228,7 @@ def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
     _check_qubit_cap(c.n_qubits)
     n = c.n_qubits
     dim = 2**n
-    gates = [(_gate_matrix(gate), gate.qubits) for gate in c.gates]
+    kernels = [_kernel(gate, n + 1) for gate in c.gates]
     u = np.empty((dim, dim), dtype=complex)
     width = min(dim, _BLOCK_ELEMENTS // dim)
     block, gathered, product = (np.empty((dim, width), dtype=complex) for _ in range(3))
@@ -188,8 +237,8 @@ def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
     for start in range(0, dim, width):
         block.fill(0)
         block[start + columns, columns] = 1  # columns start.. of the identity
-        for gate_mat, qubits in gates:
-            _apply_gate(gate_mat, qubits, tensor, gathered, product)
+        for kernel in kernels:
+            kernel(tensor, gathered, product)
         u[:, start : start + width] = block
     if c.global_phase != 0.0:
         # scalar first, as in exp(i*phase) * u: the operand order fixes the bits

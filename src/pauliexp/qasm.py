@@ -9,9 +9,9 @@ comment, since OpenQASM 2.0 has no phase statement.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .circuit import QuantumCircuit
+from .circuit import Gate, QuantumCircuit
 
 _HEADER = ('OPENQASM 2.0;', 'include "qelib1.inc";')
 
@@ -30,19 +30,21 @@ def _angle(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _qasm_lines(circuit: QuantumCircuit) -> Iterator[str]:
-    """The document's lines in order, without line endings."""
+def _qasm_lines(n_qubits: int, gates: Iterable[Gate], phase: float) -> Iterator[str]:
+    """The lines of the document for ``n_qubits``, the gates in order and the
+    global phase, without line endings. ``gates`` may be a stream: it is
+    read once, one gate per line."""
     yield from _HEADER
-    yield f"qreg q[{circuit.n_qubits}];"
-    for gate in circuit.gates:
+    yield f"qreg q[{n_qubits}];"
+    for gate in gates:
         if gate.angle is not None:
             yield f"{gate.kind}({_angle(gate.angle)}) q[{gate.qubits[0]}];"
         elif len(gate.qubits) == 1:
             yield f"{gate.kind} q[{gate.qubits[0]}];"
         else:
             yield f"{gate.kind} q[{gate.qubits[0]}],q[{gate.qubits[1]}];"
-    if circuit.global_phase != 0.0:
-        yield f"// global phase: {_angle(circuit.global_phase)}"
+    if phase != 0.0:
+        yield f"// global phase: {_angle(phase)}"
 
 
 def emit_qasm(circuit: QuantumCircuit) -> str:
@@ -51,7 +53,7 @@ def emit_qasm(circuit: QuantumCircuit) -> str:
     Emission is deterministic: identical circuits produce byte-identical
     text.
     """
-    return "\n".join(_qasm_lines(circuit)) + "\n"
+    return "\n".join(_qasm_lines(circuit.n_qubits, circuit.gates, circuit.global_phase)) + "\n"
 
 
 def validate_qasm(text: str) -> None:

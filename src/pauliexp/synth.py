@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .circuit import (
     CX,
@@ -130,15 +130,15 @@ def _wrap_layers(
     return [(inner, list(inner)), (outer_pre, outer_post)]
 
 
-def _term_gates(term: PauliTerm, t: float, variant: SynthVariant) -> tuple[list[Gate], float]:
-    """Gates and global phase of :func:`exp_pauli_term`, not bounds-checked."""
+def _term_gates(term: PauliTerm, t: float, variant: SynthVariant) -> list[Gate]:
+    """Gates of :func:`exp_pauli_term`, not bounds-checked; none for the identity."""
     support = term.string.support
     if not support:
-        return [], -t * term.coefficient
+        return []
     gates = _ladder(support, 2.0 * t * term.coefficient)
     for pre, post in _wrap_layers(term.string, support, variant):
         gates = pre + gates + post
-    return gates, 0.0
+    return gates
 
 
 def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumCircuit:
@@ -150,8 +150,61 @@ def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumC
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    gates, phase = _term_gates(term, t, variant)
-    return QuantumCircuit(term.n_qubits, tuple(gates), phase)
+    gates = _term_gates(term, t, variant)
+    return QuantumCircuit(term.n_qubits, tuple(gates), 0.0 if gates else -t * term.coefficient)
+
+
+def _product_gates(
+    h: Hamiltonian, params: EvolutionParams, variant: SynthVariant
+) -> Iterator[Gate]:
+    """The gates of the first-order Trotter product, in order, one term at a time.
+
+    Every term is checked here, before the first gate is produced: its RZ
+    angle must be finite and its support must lie inside ``h.n_qubits``,
+    which bounds every gate of the term. So a stream that starts never fails
+    part way. The slice is synthesized once; for ``reps > 1`` its gates are
+    kept and replayed.
+    """
+    t = params.t / params.reps
+    for term in h.terms:
+        mask = term.string.x | term.string.z
+        if mask.bit_length() > h.n_qubits:
+            raise ValueError(f"term {term!r} acts outside {h.n_qubits} qubits")
+        angle = 2.0 * t * term.coefficient
+        if mask and not math.isfinite(angle):
+            raise ValueError(f"rz needs a finite angle, got {angle!r}")
+    return _replayed_slice(h.terms, t, variant, params.reps)
+
+
+def _replayed_slice(
+    terms: tuple[PauliTerm, ...], t: float, variant: SynthVariant, reps: int
+) -> Iterator[Gate]:
+    """The generator behind :func:`_product_gates`; its body first runs when
+    the first gate is asked for, after the checks."""
+    kept: list[Gate] = []
+    for term in terms:
+        gates = _term_gates(term, t, variant)
+        if reps > 1:
+            kept += gates
+        yield from gates
+    for _ in range(reps - 1):
+        yield from kept
+
+
+def _product_phase(h: Hamiltonian, params: EvolutionParams) -> float:
+    """Global phase of the Trotter product: the identity terms' phases
+    -t/reps*w summed left to right over terms x reps. The other terms add
+    0.0, which leaves a sum that starts at 0.0 unchanged, so they are
+    skipped. Raises ValueError if the sum overflows."""
+    t = params.t / params.reps
+    phases = [-t * term.coefficient for term in h.terms if not term.string.x | term.string.z]
+    phase = 0.0  # a loop, not sum(): from Python 3.12 sum() rounds floats differently
+    for _ in range(params.reps):
+        for piece_phase in phases:
+            phase += piece_phase
+    if not math.isfinite(phase):
+        raise ValueError("global_phase must be finite")
+    return phase
 
 
 def trotter_circuit(
@@ -167,13 +220,9 @@ def trotter_circuit(
     gates repeated, and the phases are summed term by term, left to right.
     Exact for a single term; otherwise the error shrinks like 1/reps. With
     ``compact`` the result is run through :func:`cancel_adjacent`, which
-    merges the rotations of adjacent identical slices. Each gate is
-    bounds-checked once, by the returned circuit.
+    merges the rotations of adjacent identical slices. The gates and the
+    phase are those that the CLI streams without building the circuit.
     """
-    pieces = [_term_gates(term, params.t / params.reps, variant) for term in h.terms]
-    gates = tuple(g for piece_gates, _ in pieces for g in piece_gates)
-    phase = 0.0  # a loop, not sum(): from Python 3.12 sum() rounds floats differently
-    for _, piece_phase in pieces * params.reps:
-        phase += piece_phase
-    circuit = QuantumCircuit(h.n_qubits, gates * params.reps, phase)
+    gates = tuple(_product_gates(h, params, variant))
+    circuit = QuantumCircuit(h.n_qubits, gates, _product_phase(h, params))
     return cancel_adjacent(circuit) if compact else circuit

@@ -65,17 +65,32 @@ def test_synth_compact_collapses_repeated_terms(capsys):
 STREAM_HAM = "0.5*Z0 Z1 Z2 + 0.3*X1 Y3 Z4 - 0.2*Id + 0.7*Y0 X2"
 
 
-@pytest.mark.parametrize("variant", ["z-ladder", "x-ladder", "mixed"])
-@pytest.mark.parametrize("compact", [False, True])
-def test_streamed_document_equals_emit_qasm(variant, compact, tmp_path, capsys):
+def _stream_case(reps, compact, variant):
+    """reps None stands for synth; the trotter --reps 300 cases keep their
+    original ids, "<compact>-<variant>"."""
+    head = [] if reps == 300 else ["synth" if reps is None else f"reps{reps}"]
+    return pytest.param(reps, compact, variant, id="-".join([*head, str(compact), variant]))
+
+
+@pytest.mark.parametrize(
+    "reps, compact, variant",
+    [
+        _stream_case(reps, compact, variant)
+        for reps in (300, None, 1, 2, 3, 4)
+        for compact in (False, True)
+        for variant in ("z-ladder", "x-ladder", "mixed")
+    ],
+)
+def test_streamed_document_equals_emit_qasm(reps, compact, variant, tmp_path, capsys):
     h = parse_hamiltonian(STREAM_HAM, 5)
-    params = EvolutionParams(0.9, 300)
+    params = EvolutionParams(0.9, reps or 1)
     expected = emit_qasm(trotter_circuit(h, params, SynthVariant(variant), compact))
     assert "\n// global phase: " in expected  # from the Id term
-    if not compact:
+    if reps == 300 and not compact:
         assert expected.count("\n") > 4096  # more than one write batch
-    argv = ["trotter", "--ham", STREAM_HAM, "--n", "5", "--t", "0.9", "--reps", "300",
-            "--variant", variant] + (["--compact"] if compact else [])
+    argv = ["synth"] if reps is None else ["trotter", "--reps", str(reps)]
+    argv += ["--ham", STREAM_HAM, "--n", "5", "--t", "0.9", "--variant", variant]
+    argv += ["--compact"] if compact else []
     # compared as bytes: pytest reports the first differing byte instead of
     # diffing thousands of lines
     assert run_cli(argv) == 0
@@ -84,6 +99,65 @@ def test_streamed_document_equals_emit_qasm(variant, compact, tmp_path, capsys):
     assert run_cli([*argv, "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == expected.encode()
+
+
+def _wide_hamiltonian(seed: int) -> str:
+    """A synth-wide-shaped input: 250 terms of weight 20-60 over 1000 qubits."""
+    rng = Random(seed)
+    terms = []
+    for j in range(250):
+        qubits = sorted(rng.sample(range(1000), 20 + (7 * j) % 41))
+        ops = " ".join(f"{rng.choice('XYZ')}{q}" for q in qubits)
+        terms.append(f"{rng.uniform(-1, 1)!r}*{ops}")
+    return " + ".join(terms)
+
+
+def test_uncompacted_synth_never_holds_the_product(tmp_path):
+    ham = _wide_hamiltonian(5)
+    target = tmp_path / "wide.qasm"
+    # --out, not stdout: captured stdout would hold the whole document
+    argv = ["synth", "--ham", ham, "--n", "1000", "--t", "0.7", "--out", str(target)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rc = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    h = parse_hamiltonian(ham, 1000)
+    circuit = trotter_circuit(h, EvolutionParams(0.7))
+    assert len(circuit) > 30_000
+    assert target.read_bytes() == emit_qasm(circuit).encode()
+    # one term's gates and one write batch; the whole product's gates
+    # take several MiB
+    assert peak < 2**20
+
+
+def test_identity_term_needs_only_a_finite_phase(capsys):
+    # 2*t*w overflows, but an identity term has no rz; its phase -t*w is finite
+    assert run_cli(["synth", "--ham", "1*Z0 + 1e308*Id", "--n", "1", "--t", "1.5"]) == 0
+    assert capsys.readouterr().out.endswith("\n// global phase: -1.5e+308\n")
+
+
+@pytest.mark.parametrize("command", [["synth"], ["trotter", "--reps", "3"]])
+@pytest.mark.parametrize(
+    "ham",
+    [
+        "1*Z0 + 1*X0 Y1 + 1e300*Y0 Z1",  # the last term's rz angle overflows
+        "1*Z0 + 1*X0 Y1 - 1e300*Id",  # the summed global phase overflows
+    ],
+)
+def test_late_overflow_writes_nothing(command, ham, tmp_path, capsys):
+    argv = [*command, "--ham", ham, "--n", "2", "--t", "1e300"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+    target = tmp_path / "overflow.qasm"
+    assert run_cli([*argv, "--out", str(target)]) == 1
+    assert capsys.readouterr().out == ""
+    assert not target.exists()
 
 
 def test_trotter_repeats_slices(capsys):
@@ -157,12 +231,41 @@ def test_parse_error_exits_1_with_position_on_stderr(capsys):
         ["synth", "--ham", "Z0", "--n", "0", "--t", "0.5"],
         ["trotter", "--ham", "Z0", "--n", "1", "--t", "0.5", "--reps", "0"],
         ["frobnicate"],
+        ["synth", "--n", "1", "--t", "0.5", "--ham"],  # missing values
+        ["synth", "--ham", "Z0", "--n", "1", "--t"],
+        ["synth", "--n", "1", "--t", "0.5", "--ham-file"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
     rc = run_cli(argv)
     assert rc == 1
     assert capsys.readouterr().err != ""
+
+
+def _run(argv, capsys):
+    rc = run_cli(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", ["synth", "trotter", "verify", "stats"])
+@pytest.mark.parametrize(
+    "ham, t",
+    [
+        ("-1*Z0 Z1", "0.5"),
+        ("-0.5*X0 Y1 + 0.25*Z1", "-1e-3"),  # repr() of a small float has an exponent
+        ("1*Z0 - 2*Id", "-2.5e-07"),
+        ("-1*Id", "-1"),
+    ],
+)
+def test_option_values_may_start_with_a_dash(command, ham, t, tmp_path, monkeypatch, capsys):
+    rest = ["--n", "2"]
+    spaced = _run([command, "--ham", ham, *rest, "--t", t], capsys)
+    assert spaced == _run([command, f"--ham={ham}", *rest, f"--t={t}"], capsys)
+    assert (spaced[0], spaced[2]) == (0, "")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-h.ham").write_text(ham)
+    assert _run([command, "--ham-file", "-h.ham", *rest, "--t", t], capsys) == spaced
 
 
 def test_missing_ham_file_exits_1(tmp_path, capsys):
