@@ -24,6 +24,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Iterable
 
 H = "h"
 S = "s"
@@ -59,6 +60,8 @@ class Gate:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         qubits = tuple([q if type(q) is int else _as_int(q, "qubit index") for q in self.qubits])
+        if self.kind == CZ:
+            qubits = tuple(sorted(qubits))
         object.__setattr__(self, "qubits", qubits)
         expected = 1 if self.kind in _SINGLE else 2
         if len(qubits) != expected:
@@ -100,8 +103,7 @@ class Gate:
 
     @staticmethod
     def cz(a: int, b: int) -> Gate:
-        # symmetric gate, canonical ascending order
-        return Gate(CZ, (min(a, b), max(a, b)))
+        return Gate(CZ, (a, b))
 
     def dagger(self) -> Gate:
         if self.kind in _ROTATIONS:
@@ -179,13 +181,19 @@ class QuantumCircuit:
 
 
 def cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Peephole compaction: drop adjacent inverse pairs, merge adjacent rotations.
+    """The circuit after peephole compaction (:func:`_cancel`), phase kept."""
+    return QuantumCircuit(circuit.n_qubits, _cancel(circuit.gates), circuit.global_phase)
+
+
+def _cancel(gates: Iterable[Gate]) -> tuple[Gate, ...]:
+    """Peephole compaction: drop adjacent inverse pairs, merge adjacent
+    rotations. ``gates`` is read once, so it may be a stream.
 
     Two gates are adjacent when no gate between them touches any of their
     qubits. Inverse pairs (H,H), (S,Sdg), (Sdg,S), (CX,CX), (CZ,CZ) on the
     identical qubit tuple vanish; adjacent RZ/RX on the same qubit merge by
     summing angles, disappearing only when the sum is exactly 0.0. The
-    represented unitary (global phase included) is unchanged.
+    represented unitary is unchanged.
 
     One pass reaches the fixed point: a kept gate can only be removed by a
     later gate on its exact qubit tuple, which would first meet any kept gate
@@ -195,7 +203,7 @@ def cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
     kept: list[Gate | None] = []
     # per touched qubit, indices into kept of its live gates; the top is the latest
     live: defaultdict[int, list[int]] = defaultdict(list)
-    for gate in circuit.gates:
+    for gate in gates:
         j = -1  # the latest live gate on any of the gate's qubits
         for q in gate.qubits:
             stack = live[q]
@@ -219,5 +227,4 @@ def cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
         for q in gate.qubits:
             live[q].append(len(kept))
         kept.append(gate)
-    survivors = tuple(g for g in kept if g is not None)
-    return QuantumCircuit(circuit.n_qubits, survivors, circuit.global_phase)
+    return tuple(g for g in kept if g is not None)

@@ -15,21 +15,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from itertools import islice
 from typing import Sequence
 
-from .circuit import GATE_KINDS, QuantumCircuit
+from .circuit import GATE_KINDS
 from .parser import ParseError, parse_hamiltonian
 from .paulis import Hamiltonian
 from .qasm import _qasm_lines
-from .synth import (
-    EvolutionParams,
-    SynthVariant,
-    _product_gates,
-    _product_phase,
-    trotter_circuit,
-)
+from .synth import EvolutionParams, SynthVariant, _product, trotter_circuit
 
 VERIFY_THRESHOLD = 1e-8
 _WRITE_BATCH = 4096  # QASM lines per write
@@ -129,28 +124,17 @@ def _load_hamiltonian(ns: argparse.Namespace) -> Hamiltonian:
     return parse_hamiltonian(text, ns.n)
 
 
-def _synthesize(ns: argparse.Namespace, h: Hamiltonian) -> QuantumCircuit:
-    compact = getattr(ns, "compact", False)
-    return trotter_circuit(h, EvolutionParams(ns.t), SynthVariant(ns.variant), compact)
-
-
 def _emit(ns: argparse.Namespace, h: Hamiltonian, reps: int = 1) -> None:
     """Write the QASM document of the Trotter product to ``--out`` or stdout
     in batches of lines, so the whole text never exists at once.
 
-    Without ``--compact`` no circuit is built either: the gates are
-    synthesized term by term as the lines are written. Every term is checked
-    before the target is opened, so an error leaves stdout empty and creates
-    no file.
+    No circuit is built either: the gates stream from synthesis, through the
+    peephole with ``--compact``. Every term is checked before the target is
+    opened, so an error leaves stdout empty and creates no file.
     """
     params = EvolutionParams(ns.t, reps)
-    variant = SynthVariant(ns.variant)
-    if ns.compact:
-        circuit = trotter_circuit(h, params, variant, compact=True)
-        lines = _qasm_lines(circuit.n_qubits, circuit.gates, circuit.global_phase)
-    else:
-        phase = _product_phase(h, params)
-        lines = _qasm_lines(h.n_qubits, _product_gates(h, params, variant), phase)
+    gates, phase = _product(h, params, SynthVariant(ns.variant), ns.compact)
+    lines = _qasm_lines(h.n_qubits, gates, phase)
     if ns.out:
         target = open(ns.out, "w", encoding="utf-8", newline="\n")
     else:
@@ -186,7 +170,8 @@ def _verify(ns: argparse.Namespace, h: Hamiltonian) -> int:
             file=sys.stderr,
         )
         return 3
-    synthesized = circuit_unitary(_synthesize(ns, h))
+    circuit = trotter_circuit(h, EvolutionParams(ns.t), SynthVariant(ns.variant))
+    synthesized = circuit_unitary(circuit)
     if ns.exact:
         reference = matrix_exponential(hamiltonian_matrix(h), ns.t)
         distance = phase_invariant_distance(synthesized, reference)
@@ -198,7 +183,8 @@ def _verify(ns: argparse.Namespace, h: Hamiltonian) -> int:
 
 
 def _stats(ns: argparse.Namespace, h: Hamiltonian) -> int:
-    counts = _synthesize(ns, h).gate_counts()
+    gates, _ = _product(h, EvolutionParams(ns.t), SynthVariant(ns.variant), ns.compact)
+    counts = Counter(gate.kind for gate in gates)
     for kind in GATE_KINDS:
         if counts[kind]:
             print(f"{kind}={counts[kind]}")

@@ -29,22 +29,13 @@ MAX_EXPM_QUBITS = 8
 # elements in one block of the blocked loops below (1 MiB of complex128)
 _BLOCK_ELEMENTS = 2**16
 
-_SQRT2_INV = 1 / math.sqrt(2)
-_FIXED_GATES = {
-    H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
-    S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
-    # two-qubit basis order: (first qubit of the tuple, second), first is MSB
-    CX: np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-    CZ: np.diag([1, 1, 1, -1]).astype(complex),
-}
+_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) * (1 / math.sqrt(2))
 
 
 def _gate_matrix(gate: Gate) -> np.ndarray:
-    if gate.kind in _FIXED_GATES:
-        return _FIXED_GATES[gate.kind]
+    """The matrix of an H, RZ or RX gate; :func:`_kernel` needs no other."""
+    if gate.kind == H:
+        return _H_MATRIX
     assert gate.angle is not None
     half = gate.angle / 2
     if gate.kind == RZ:

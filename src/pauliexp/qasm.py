@@ -15,14 +15,13 @@ from .circuit import Gate, QuantumCircuit
 
 _HEADER = ('OPENQASM 2.0;', 'include "qelib1.inc";')
 
+_QREG_RE = re.compile(r"qreg q\[([1-9]\d*)\];$")
+_INDEX = r"q\[(0|[1-9]\d*)\]"  # the only groups below capture qubit indices
 _STATEMENT_RES = (
-    re.compile(r"OPENQASM 2\.0;$"),
-    re.compile(r'include "qelib1\.inc";$'),
-    re.compile(r"qreg q\[[1-9]\d*\];$"),
-    re.compile(r"(h|s|sdg) q\[\d+\];$"),
-    re.compile(r"(rz|rx)\((-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)\) q\[\d+\];$"),
-    re.compile(r"(cx|cz) q\[\d+\],q\[\d+\];$"),
-    re.compile(r"// global phase: -?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"),
+    re.compile(rf"(?:h|s|sdg) {_INDEX};$"),
+    re.compile(rf"(?:rz|rx)\(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\) {_INDEX};$"),
+    re.compile(rf"(?:cx|cz) {_INDEX},{_INDEX};$"),
+    re.compile(r"// global phase: -?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$"),
 )
 
 
@@ -57,7 +56,9 @@ def emit_qasm(circuit: QuantumCircuit) -> str:
 
 
 def validate_qasm(text: str) -> None:
-    """Check a document against the regular grammar of the supported statements.
+    """Check a document against the regular grammar of the supported statements:
+    the header and one qreg on lines 1-3, then gates on distinct qubits
+    inside the register, and the global phase comment.
 
     Raises ValueError naming the first offending line. Used by the test
     suite to keep the emitter honest.
@@ -66,10 +67,16 @@ def validate_qasm(text: str) -> None:
     if lines[-1] != "":
         raise ValueError("document must end with a newline")
     lines = lines[:-1]
-    if lines[:2] != ["OPENQASM 2.0;", 'include "qelib1.inc";']:
+    if lines[:2] != list(_HEADER):
         raise ValueError("missing or malformed OpenQASM 2.0 header")
-    if len(lines) < 3 or not _STATEMENT_RES[2].match(lines[2]):
+    qreg = _QREG_RE.match(lines[2]) if len(lines) > 2 else None
+    if not qreg:
         raise ValueError("expected a qreg declaration after the header")
-    for lineno, line in enumerate(lines, start=1):
-        if not any(rx.match(line) for rx in _STATEMENT_RES):
+    size = int(qreg[1])
+    for lineno, line in enumerate(lines[3:], start=4):
+        match = next(filter(None, (rx.match(line) for rx in _STATEMENT_RES)), None)
+        if not match:
             raise ValueError(f"line {lineno} is not a supported statement: {line!r}")
+        qubits = [int(index) for index in match.groups()]
+        if max(qubits, default=0) >= size or len(set(qubits)) != len(qubits):
+            raise ValueError(f"line {lineno} needs distinct qubits below {size}: {line!r}")

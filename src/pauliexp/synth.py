@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .circuit import (
     CX,
@@ -34,8 +34,8 @@ from .circuit import (
     Gate,
     QuantumCircuit,
     _as_int,
+    _cancel,
     _trusted_gate,
-    cancel_adjacent,
 )
 from .paulis import Hamiltonian, PauliString, PauliTerm, _bits
 
@@ -154,16 +154,16 @@ def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumC
     return QuantumCircuit(term.n_qubits, tuple(gates), 0.0 if gates else -t * term.coefficient)
 
 
-def _product_gates(
-    h: Hamiltonian, params: EvolutionParams, variant: SynthVariant
-) -> Iterator[Gate]:
-    """The gates of the first-order Trotter product, in order, one term at a time.
+def _product(
+    h: Hamiltonian, params: EvolutionParams, variant: SynthVariant, compact: bool = False
+) -> tuple[Iterable[Gate], float]:
+    """The gates of the first-order Trotter product, in order, and its phase.
 
-    Every term is checked here, before the first gate is produced: its RZ
-    angle must be finite and its support must lie inside ``h.n_qubits``,
-    which bounds every gate of the term. So a stream that starts never fails
-    part way. The slice is synthesized once; for ``reps > 1`` its gates are
-    kept and replayed.
+    Every check runs before the first gate: each term's support lies inside
+    ``h.n_qubits``, which bounds all its gates, and its RZ angle is finite;
+    then the phase is finite. So a stream that starts never fails part way.
+    The gates are a lazy stream of the slice, synthesized once and replayed
+    ``reps`` times; with ``compact``, the survivors of :func:`_cancel` on it.
     """
     t = params.t / params.reps
     for term in h.terms:
@@ -173,14 +173,24 @@ def _product_gates(
         angle = 2.0 * t * term.coefficient
         if mask and not math.isfinite(angle):
             raise ValueError(f"rz needs a finite angle, got {angle!r}")
-    return _replayed_slice(h.terms, t, variant, params.reps)
+    # the identity terms' phases -t/reps*w summed left to right over terms x
+    # reps; the other terms add 0.0, which leaves a sum from 0.0 unchanged
+    phases = [-t * term.coefficient for term in h.terms if not term.string.x | term.string.z]
+    phase = 0.0  # a loop, not sum(): from Python 3.12 sum() rounds floats differently
+    for _ in range(params.reps):
+        for piece_phase in phases:
+            phase += piece_phase
+    if not math.isfinite(phase):
+        raise ValueError("global_phase must be finite")
+    gates = _replayed_slice(h.terms, t, variant, params.reps)
+    return (_cancel(gates) if compact else gates), phase
 
 
 def _replayed_slice(
     terms: tuple[PauliTerm, ...], t: float, variant: SynthVariant, reps: int
 ) -> Iterator[Gate]:
-    """The generator behind :func:`_product_gates`; its body first runs when
-    the first gate is asked for, after the checks."""
+    """The gate stream of :func:`_product`; its body first runs when the
+    first gate is asked for, after the checks."""
     kept: list[Gate] = []
     for term in terms:
         gates = _term_gates(term, t, variant)
@@ -189,22 +199,6 @@ def _replayed_slice(
         yield from gates
     for _ in range(reps - 1):
         yield from kept
-
-
-def _product_phase(h: Hamiltonian, params: EvolutionParams) -> float:
-    """Global phase of the Trotter product: the identity terms' phases
-    -t/reps*w summed left to right over terms x reps. The other terms add
-    0.0, which leaves a sum that starts at 0.0 unchanged, so they are
-    skipped. Raises ValueError if the sum overflows."""
-    t = params.t / params.reps
-    phases = [-t * term.coefficient for term in h.terms if not term.string.x | term.string.z]
-    phase = 0.0  # a loop, not sum(): from Python 3.12 sum() rounds floats differently
-    for _ in range(params.reps):
-        for piece_phase in phases:
-            phase += piece_phase
-    if not math.isfinite(phase):
-        raise ValueError("global_phase must be finite")
-    return phase
 
 
 def trotter_circuit(
@@ -219,10 +213,9 @@ def trotter_circuit(
     stored order, repeated reps times; the slice is synthesized once and its
     gates repeated, and the phases are summed term by term, left to right.
     Exact for a single term; otherwise the error shrinks like 1/reps. With
-    ``compact`` the result is run through :func:`cancel_adjacent`, which
+    ``compact`` the gates are those :func:`cancel_adjacent` keeps, which
     merges the rotations of adjacent identical slices. The gates and the
     phase are those that the CLI streams without building the circuit.
     """
-    gates = tuple(_product_gates(h, params, variant))
-    circuit = QuantumCircuit(h.n_qubits, gates, _product_phase(h, params))
-    return cancel_adjacent(circuit) if compact else circuit
+    gates, phase = _product(h, params, variant, compact)
+    return QuantumCircuit(h.n_qubits, tuple(gates), phase)

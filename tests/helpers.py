@@ -10,7 +10,7 @@ from random import Random
 import numpy as np
 
 from pauliexp import Gate, Hamiltonian, PauliOp, PauliString, PauliTerm, QuantumCircuit
-from pauliexp.oracle import _BLOCK_ELEMENTS, _gate_matrix, apply_exp_pauli
+from pauliexp.oracle import _BLOCK_ELEMENTS, apply_exp_pauli
 
 PAULI_CHARS = "IXYZ"
 
@@ -104,6 +104,28 @@ def reference_cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
     return QuantumCircuit(circuit.n_qubits, gates, circuit.global_phase)
 
 
+_FIXED_GATES = {
+    "h": np.array([[1, 1], [1, -1]], dtype=complex) * (1 / math.sqrt(2)),
+    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
+    # two-qubit basis order: (first qubit of the tuple, second), first is MSB
+    "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    "cz": np.diag([1, 1, 1, -1]).astype(complex),
+}
+
+
+def reference_gate_matrix(gate: Gate) -> np.ndarray:
+    """The gate's matrix. H, RZ and RX use the oracle's expressions, so that
+    products with them round alike."""
+    if gate.kind in _FIXED_GATES:
+        return _FIXED_GATES[gate.kind]
+    half = gate.angle / 2
+    if gate.kind == "rz":
+        return np.diag([np.exp(-1j * half), np.exp(1j * half)])
+    c, s = math.cos(half), math.sin(half)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
 def reference_circuit_unitary(c: QuantumCircuit) -> np.ndarray:
     """circuit_unitary as first written, kept as its reference: every gate
     acts on the whole d x d matrix at once through np.tensordot, and the
@@ -113,7 +135,7 @@ def reference_circuit_unitary(c: QuantumCircuit) -> np.ndarray:
     for gate in c.gates:
         k = len(gate.qubits)
         tensor = u.reshape((2,) * n + (u.shape[1],))
-        gate_tensor = _gate_matrix(gate).reshape((2,) * (2 * k))
+        gate_tensor = reference_gate_matrix(gate).reshape((2,) * (2 * k))
         tensor = np.tensordot(gate_tensor, tensor, axes=(tuple(range(k, 2 * k)), gate.qubits))
         u = np.moveaxis(tensor, tuple(range(k)), gate.qubits).reshape(u.shape)
     if c.global_phase != 0.0:

@@ -69,8 +69,9 @@ def test_integer_like_indices_are_stored_as_int_tuples():
 
 
 def test_cz_is_stored_symmetrically():
-    assert Gate.cz(3, 1) == Gate.cz(1, 3)
-    assert Gate.cz(3, 1).qubits == (1, 3)
+    for gate in (Gate.cz(3, 1), Gate("cz", (3, 1))):
+        assert gate == Gate.cz(1, 3)
+        assert gate.qubits == (1, 3)
 
 
 def test_gates_have_no_dict_and_trusted_gates_equal_validated_ones():
@@ -161,6 +162,7 @@ def test_cancel_adjacent_blocked_by_overlapping_gate():
     (Gate.sdg(0), Gate.s(0)),
     (Gate.cx(0, 1), Gate.cx(0, 1)),
     (Gate.cz(0, 1), Gate.cz(1, 0)),  # symmetric pair normalizes, then cancels
+    (Gate("cz", (1, 0)), Gate("cz", (0, 1))),
 ])
 def test_cancel_adjacent_inverse_pairs(pair):
     assert cancel_adjacent(QuantumCircuit(2, pair)).gates == ()

@@ -1,12 +1,14 @@
 """CLI behavior: subcommand output, exit codes, file handling."""
 
 import tracemalloc
+from collections import Counter
 from random import Random
 
 import numpy as np
 import pytest
 
 from pauliexp import (
+    GATE_KINDS,
     EvolutionParams,
     Hamiltonian,
     PauliTerm,
@@ -99,6 +101,13 @@ def test_streamed_document_equals_emit_qasm(reps, compact, variant, tmp_path, ca
     assert run_cli([*argv, "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == expected.encode()
+    if reps is None:
+        # stats prints the gate histogram of the document synth writes
+        gate_lines = expected.splitlines()[3:-1]  # the last line is the phase
+        counts = Counter(line.split(" ")[0].split("(")[0] for line in gate_lines)
+        histogram = "".join(f"{kind}={counts[kind]}\n" for kind in GATE_KINDS if counts[kind])
+        assert run_cli(["stats", *argv[1:]]) == 0
+        assert capsys.readouterr().out == histogram
 
 
 def _wide_hamiltonian(seed: int) -> str:
@@ -146,6 +155,7 @@ def test_identity_term_needs_only_a_finite_phase(capsys):
     [
         "1*Z0 + 1*X0 Y1 + 1e300*Y0 Z1",  # the last term's rz angle overflows
         "1*Z0 + 1*X0 Y1 - 1e300*Id",  # the summed global phase overflows
+        "1*Z0 + 1e300*Y0 Z1 - 1e300*Id",  # both overflow
     ],
 )
 def test_late_overflow_writes_nothing(command, ham, tmp_path, capsys):
@@ -154,10 +164,14 @@ def test_late_overflow_writes_nothing(command, ham, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+    # the compacted product runs the same checks in the same order
+    assert run_cli([*argv, "--compact"]) == 1
+    assert capsys.readouterr() == ("", captured.err)
     target = tmp_path / "overflow.qasm"
-    assert run_cli([*argv, "--out", str(target)]) == 1
-    assert capsys.readouterr().out == ""
-    assert not target.exists()
+    for compact in ([], ["--compact"]):
+        assert run_cli([*argv, *compact, "--out", str(target)]) == 1
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
 
 
 def test_trotter_repeats_slices(capsys):

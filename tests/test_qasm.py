@@ -92,6 +92,11 @@ def test_emitted_documents_always_validate():
         (HEADER + "qreg q[2];\nmeasure q[0] -> c[0];\n", "not a supported statement"),
         (HEADER + "qreg q[2];\nrz() q[0];\n", "not a supported statement"),
         (HEADER + "qreg q[0];\n", "qreg"),
+        (HEADER + "qreg q[2];\nh q[5];\n", "below 2"),
+        (HEADER + "qreg q[2];\ncx q[0],q[0];\n", "distinct"),
+        (HEADER + "qreg q[2];\nqreg q[3];\n", "not a supported statement"),
+        (HEADER + "qreg q[2];\nh q[0];\nOPENQASM 2.0;\n", "not a supported statement"),
+        (HEADER + "qreg q[2];\nh q[01];\n", "not a supported statement"),
     ],
 )
 def test_validator_rejects_malformed_documents(text, fragment):
