@@ -17,7 +17,6 @@ import math
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from itertools import islice
 from typing import Sequence
 
 from .circuit import GATE_KINDS
@@ -27,7 +26,6 @@ from .qasm import _qasm_lines
 from .synth import EvolutionParams, SynthVariant, _product, trotter_circuit
 
 VERIFY_THRESHOLD = 1e-8
-_WRITE_BATCH = 4096  # QASM lines per write
 
 
 class _UsageError(Exception):
@@ -126,7 +124,8 @@ def _load_hamiltonian(ns: argparse.Namespace) -> Hamiltonian:
 
 def _emit(ns: argparse.Namespace, h: Hamiltonian, reps: int = 1) -> None:
     """Write the QASM document of the Trotter product to ``--out`` or stdout
-    in batches of lines, so the whole text never exists at once.
+    line by line through the stream's buffer, so the whole text never exists
+    at once.
 
     No circuit is built either: the gates stream from synthesis, through the
     peephole with ``--compact``. Every term is checked before the target is
@@ -140,8 +139,7 @@ def _emit(ns: argparse.Namespace, h: Hamiltonian, reps: int = 1) -> None:
     else:
         target = nullcontext(sys.stdout)
     with target as fh:
-        while batch := list(islice(lines, _WRITE_BATCH)):
-            fh.write("\n".join(batch) + "\n")
+        fh.writelines(lines)
 
 
 def _verify(ns: argparse.Namespace, h: Hamiltonian) -> int:

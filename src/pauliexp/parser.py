@@ -170,7 +170,7 @@ def parse_hamiltonian(text: str, n_qubits: int) -> Hamiltonian:
 
 def _format_coefficient(c: float) -> str:
     if c == int(c) and abs(c) < 1e16:
-        return str(int(c))
+        return f"{c:.0f}"  # exact digits, and "-0" keeps the sign of a zero
     return repr(c)
 
 

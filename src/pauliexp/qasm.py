@@ -8,6 +8,7 @@ comment, since OpenQASM 2.0 has no phase statement.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable, Iterator
 
@@ -16,13 +17,15 @@ from .circuit import Gate, QuantumCircuit
 _HEADER = ('OPENQASM 2.0;', 'include "qelib1.inc";')
 
 _QREG_RE = re.compile(r"qreg q\[([1-9]\d*)\];$")
-_INDEX = r"q\[(0|[1-9]\d*)\]"  # the only groups below capture qubit indices
-_STATEMENT_RES = (
+_NUMBER = r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+_INDEX = r"q\[(0|[1-9]\d*)\]"
+_ROTATION_RE = re.compile(rf"(?:rz|rx)\({_NUMBER}\) {_INDEX};$")  # groups: angle, qubit
+_STATEMENT_RES = (  # the groups of the other two capture qubit indices only
     re.compile(rf"(?:h|s|sdg) {_INDEX};$"),
-    re.compile(rf"(?:rz|rx)\(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\) {_INDEX};$"),
+    _ROTATION_RE,
     re.compile(rf"(?:cx|cz) {_INDEX},{_INDEX};$"),
-    re.compile(r"// global phase: -?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$"),
 )
+_PHASE_RE = re.compile(rf"// global phase: {_NUMBER}$")
 
 
 def _angle(value: float) -> str:
@@ -31,19 +34,20 @@ def _angle(value: float) -> str:
 
 def _qasm_lines(n_qubits: int, gates: Iterable[Gate], phase: float) -> Iterator[str]:
     """The lines of the document for ``n_qubits``, the gates in order and the
-    global phase, without line endings. ``gates`` may be a stream: it is
+    global phase, each ending in a newline. ``gates`` may be a stream: it is
     read once, one gate per line."""
-    yield from _HEADER
-    yield f"qreg q[{n_qubits}];"
+    for line in _HEADER:
+        yield f"{line}\n"
+    yield f"qreg q[{n_qubits}];\n"
     for gate in gates:
         if gate.angle is not None:
-            yield f"{gate.kind}({_angle(gate.angle)}) q[{gate.qubits[0]}];"
+            yield f"{gate.kind}({_angle(gate.angle)}) q[{gate.qubits[0]}];\n"
         elif len(gate.qubits) == 1:
-            yield f"{gate.kind} q[{gate.qubits[0]}];"
+            yield f"{gate.kind} q[{gate.qubits[0]}];\n"
         else:
-            yield f"{gate.kind} q[{gate.qubits[0]}],q[{gate.qubits[1]}];"
+            yield f"{gate.kind} q[{gate.qubits[0]}],q[{gate.qubits[1]}];\n"
     if phase != 0.0:
-        yield f"// global phase: {_angle(phase)}"
+        yield f"// global phase: {_angle(phase)}\n"
 
 
 def emit_qasm(circuit: QuantumCircuit) -> str:
@@ -52,13 +56,14 @@ def emit_qasm(circuit: QuantumCircuit) -> str:
     Emission is deterministic: identical circuits produce byte-identical
     text.
     """
-    return "\n".join(_qasm_lines(circuit.n_qubits, circuit.gates, circuit.global_phase)) + "\n"
+    return "".join(_qasm_lines(circuit.n_qubits, circuit.gates, circuit.global_phase))
 
 
 def validate_qasm(text: str) -> None:
     """Check a document against the regular grammar of the supported statements:
-    the header and one qreg on lines 1-3, then gates on distinct qubits
-    inside the register, and the global phase comment.
+    the header and one qreg on lines 1-3, then gates with finite angles on
+    distinct qubits inside the register, and at most one global phase
+    comment, finite and last.
 
     Raises ValueError naming the first offending line. Used by the test
     suite to keep the emitter honest.
@@ -73,10 +78,20 @@ def validate_qasm(text: str) -> None:
     if not qreg:
         raise ValueError("expected a qreg declaration after the header")
     size = int(qreg[1])
-    for lineno, line in enumerate(lines[3:], start=4):
+    body = lines[3:]
+    if body and (phase := _PHASE_RE.match(body[-1])):
+        if not math.isfinite(float(phase[1])):
+            raise ValueError(f"line {len(lines)} needs a finite global phase: {body[-1]!r}")
+        body.pop()
+    for lineno, line in enumerate(body, start=4):
         match = next(filter(None, (rx.match(line) for rx in _STATEMENT_RES)), None)
         if not match:
             raise ValueError(f"line {lineno} is not a supported statement: {line!r}")
-        qubits = [int(index) for index in match.groups()]
+        indices = match.groups()
+        if match.re is _ROTATION_RE:
+            angle, *indices = indices
+            if not math.isfinite(float(angle)):
+                raise ValueError(f"line {lineno} needs a finite angle: {line!r}")
+        qubits = [int(index) for index in indices]
         if max(qubits, default=0) >= size or len(set(qubits)) != len(qubits):
             raise ValueError(f"line {lineno} needs distinct qubits below {size}: {line!r}")

@@ -75,20 +75,19 @@ def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> Qua
         raise ValueError(f"support must be strictly ascending, got {support}")
     if support[0] < 0 or support[-1] >= n_qubits:
         raise ValueError(f"support {support} out of range for {n_qubits} qubits")
+    if theta is None or not math.isfinite(theta):
+        raise ValueError(f"rz needs a finite angle, got {theta!r}")
 
     return QuantumCircuit(n_qubits, _ladder(support, theta))
 
 
 def _ladder(support: tuple[int, ...], theta: float) -> list[Gate]:
-    """Gates of :func:`synth_z_rotation` for a valid ascending support.
-
-    The CX gates skip validation; the RZ goes through ``Gate``, which
-    rejects a non-finite theta.
-    """
+    """Gates of :func:`synth_z_rotation` for a valid ascending support and
+    a finite theta, which every caller checks first."""
     down = [
         _trusted_gate(CX, (support[i], support[i - 1])) for i in range(len(support) - 1, 0, -1)
     ]
-    return [*down, Gate(RZ, (support[0],), theta), *reversed(down)]
+    return [*down, _trusted_gate(RZ, (support[0],), float(theta)), *reversed(down)]
 
 
 def _wrap_layers(
@@ -131,7 +130,7 @@ def _wrap_layers(
 
 
 def _term_gates(term: PauliTerm, t: float, variant: SynthVariant) -> list[Gate]:
-    """Gates of :func:`exp_pauli_term`, not bounds-checked; none for the identity."""
+    """Gates of exp(-i*t*w*P) for a checked term and angle; none for the identity."""
     support = term.string.support
     if not support:
         return []
@@ -142,16 +141,12 @@ def _term_gates(term: PauliTerm, t: float, variant: SynthVariant) -> list[Gate]:
 
 
 def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumCircuit:
-    """Circuit whose unitary equals exp(-i*t*w*P) for the weighted string w*P.
-
-    The identity string has no gates at all; its exponential is the pure
-    phase exp(-i*t*w), tracked in global_phase so nothing is silently
-    dropped.
+    """Circuit whose unitary equals exp(-i*t*w*P) for the weighted string w*P:
+    the Trotter product of the one-term Hamiltonian, so it shares
+    :func:`trotter_circuit`'s checks. The identity string has no gates; its
+    exponential is the pure phase exp(-i*t*w), kept in global_phase.
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    gates = _term_gates(term, t, variant)
-    return QuantumCircuit(term.n_qubits, tuple(gates), 0.0 if gates else -t * term.coefficient)
+    return trotter_circuit(Hamiltonian(term.n_qubits, (term,)), EvolutionParams(t), variant)
 
 
 def _product(
@@ -159,19 +154,19 @@ def _product(
 ) -> tuple[Iterable[Gate], float]:
     """The gates of the first-order Trotter product, in order, and its phase.
 
-    Every check runs before the first gate: each term's support lies inside
-    ``h.n_qubits``, which bounds all its gates, and its RZ angle is finite;
-    then the phase is finite. So a stream that starts never fails part way.
+    Every check runs before the first gate: the variant is a
+    :class:`SynthVariant`, each term's RZ angle is finite, then the phase is
+    finite. So a stream that starts never fails part way; its gates lie
+    inside ``h.n_qubits`` because every term's string does.
     The gates are a lazy stream of the slice, synthesized once and replayed
     ``reps`` times; with ``compact``, the survivors of :func:`_cancel` on it.
     """
+    if not isinstance(variant, SynthVariant):
+        raise ValueError(f"unknown synthesis variant {variant!r}")
     t = params.t / params.reps
     for term in h.terms:
-        mask = term.string.x | term.string.z
-        if mask.bit_length() > h.n_qubits:
-            raise ValueError(f"term {term!r} acts outside {h.n_qubits} qubits")
         angle = 2.0 * t * term.coefficient
-        if mask and not math.isfinite(angle):
+        if term.string.x | term.string.z and not math.isfinite(angle):
             raise ValueError(f"rz needs a finite angle, got {angle!r}")
     # the identity terms' phases -t/reps*w summed left to right over terms x
     # reps; the other terms add 0.0, which leaves a sum from 0.0 unchanged

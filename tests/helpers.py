@@ -11,6 +11,7 @@ import numpy as np
 
 from pauliexp import Gate, Hamiltonian, PauliOp, PauliString, PauliTerm, QuantumCircuit
 from pauliexp.oracle import _BLOCK_ELEMENTS, apply_exp_pauli
+from pauliexp.synth import _term_gates
 
 PAULI_CHARS = "IXYZ"
 
@@ -199,3 +200,14 @@ def reference_per_term_product(h: Hamiltonian, t: float) -> np.ndarray:
     for term in h.terms:
         apply_exp_pauli(term.string, t * term.coefficient, u)
     return u
+
+
+def reference_exp_pauli_term(term: PauliTerm, t: float, variant) -> QuantumCircuit:
+    """exp_pauli_term assembled on its own, as it was before it became the
+    Trotter product of a one-term Hamiltonian: its own check of t, every
+    gate rebuilt through the validating Gate constructor, and the phase
+    -t*w for the identity string, 0.0 otherwise."""
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    gates = tuple(Gate(g.kind, g.qubits, g.angle) for g in _term_gates(term, t, variant))
+    return QuantumCircuit(term.n_qubits, gates, 0.0 if gates else -t * term.coefficient)

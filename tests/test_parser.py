@@ -5,12 +5,16 @@ from random import Random
 import pytest
 
 from pauliexp import (
+    EvolutionParams,
     Hamiltonian,
     ParseError,
     PauliString,
     PauliTerm,
+    SynthVariant,
+    emit_qasm,
     format_hamiltonian,
     parse_hamiltonian,
+    trotter_circuit,
 )
 from helpers import random_hamiltonian
 
@@ -115,10 +119,23 @@ def test_format_of_parsed_multi_factor_term():
 
 
 def test_round_trip_identity_randomized():
+    """Weights of either sign of zero round-trip too: ``==`` cannot tell them
+    apart, but the document of the re-parsed Hamiltonian must not change."""
     rng = Random(101)
     for _ in range(300):
         h = random_hamiltonian(rng)
-        assert parse_hamiltonian(format_hamiltonian(h), h.n_qubits) == h
+        h = Hamiltonian(
+            h.n_qubits,
+            tuple(
+                PauliTerm(rng.choice((0.0, -0.0)), term.string) if rng.random() < 0.2 else term
+                for term in h.terms
+            ),
+        )
+        again = parse_hamiltonian(format_hamiltonian(h), h.n_qubits)
+        assert again == h
+        params, variant = EvolutionParams(0.7), rng.choice(list(SynthVariant))
+        document = emit_qasm(trotter_circuit(h, params, variant))
+        assert emit_qasm(trotter_circuit(again, params, variant)) == document
 
 
 def test_fuzzing_never_crashes():

@@ -97,6 +97,12 @@ def test_emitted_documents_always_validate():
         (HEADER + "qreg q[2];\nqreg q[3];\n", "not a supported statement"),
         (HEADER + "qreg q[2];\nh q[0];\nOPENQASM 2.0;\n", "not a supported statement"),
         (HEADER + "qreg q[2];\nh q[01];\n", "not a supported statement"),
+        (
+            HEADER + "qreg q[1];\n// global phase: 1\nh q[0];\n// global phase: 2\n",
+            "line 4 is not a supported statement",
+        ),
+        (HEADER + "qreg q[1];\nrz(1e999) q[0];\n", "line 4 needs a finite angle"),
+        (HEADER + "qreg q[1];\nh q[0];\n// global phase: -1e999\n", "line 5 needs a finite"),
     ],
 )
 def test_validator_rejects_malformed_documents(text, fragment):

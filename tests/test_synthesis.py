@@ -25,7 +25,7 @@ from pauliexp import (
     synth_z_rotation,
     trotter_circuit,
 )
-from helpers import random_pauli_string
+from helpers import random_pauli_string, reference_exp_pauli_term
 
 T_SAMPLES = (0.1, 0.7, math.pi / 3, -1.2)
 
@@ -76,6 +76,12 @@ def test_ladder_input_validation():
         synth_z_rotation(3, [1, 1], 0.5)
     with pytest.raises(ValueError, match="out of range"):
         synth_z_rotation(3, [1, 3], 0.5)
+    for theta, shown in ((math.inf, "inf"), (math.nan, "nan"), (None, "None")):
+        with pytest.raises(ValueError, match=f"^rz needs a finite angle, got {shown}$"):
+            synth_z_rotation(3, [0, 2], theta)
+    for theta in (2, np.int64(-3), np.float32(0.5), np.float64(1.25)):
+        (rz,) = [g for g in synth_z_rotation(3, [0, 2], theta).gates if g.kind == "rz"]
+        assert type(rz.angle) is float and rz.angle == float(theta)
 
 
 def test_six_qubit_yyx_gate_sequence_frozen():
@@ -308,6 +314,39 @@ def test_ladder_rejects_non_int_support():
     with pytest.raises(ValueError, match="finite"):
         synth_z_rotation(3, [0, 1], float("inf"))
     assert synth_z_rotation(3, [np.int64(0), np.int64(2)], 0.5) == synth_z_rotation(3, [0, 2], 0.5)
+
+
+def test_exp_pauli_term_equals_the_single_term_assembly():
+    """The one-term Trotter product equals the term assembled on its own,
+    gates and phase, identity strings and t = 0 included."""
+    rng = Random(38)
+    for variant in SynthVariant:
+        for _ in range(80):
+            n = rng.randint(1, 7)
+            label = "I" * n if rng.random() < 0.2 else random_pauli_string(rng, n).to_label()
+            t = rng.choice((0.0, -0.0, 1, np.float64(0.3), rng.uniform(-2.0, 2.0)))
+            weighted = term(label, rng.choice((1.0, -0.0, rng.uniform(-3.0, 3.0))))
+            expected = reference_exp_pauli_term(weighted, t, variant)
+            assert exp_pauli_term(weighted, t, variant) == expected
+
+
+def test_exp_pauli_term_errors():
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            exp_pauli_term(term("Z"), t, SynthVariant.Z_LADDER)
+    with pytest.raises(ValueError, match="^rz needs a finite angle, got inf$"):
+        exp_pauli_term(term("XY", 1e308), 1e308, SynthVariant.MIXED)
+    with pytest.raises(ValueError, match="^global_phase must be finite$"):
+        exp_pauli_term(term("II", -1e308), 1e308, SynthVariant.X_LADDER)
+
+
+@pytest.mark.parametrize("variant", ["x-ladder", None, 42])
+def test_unknown_variant_is_rejected(variant):
+    h = Hamiltonian(2, (term("XY"), term("ZI")))
+    with pytest.raises(ValueError, match=f"variant {variant!r}$"):
+        trotter_circuit(h, EvolutionParams(0.5, 2), variant)
+    with pytest.raises(ValueError, match=f"variant {variant!r}$"):
+        exp_pauli_term(term("YX"), 0.5, variant)
 
 
 def test_synthesized_gates_equal_validated_gates():
