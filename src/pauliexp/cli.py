@@ -200,7 +200,7 @@ def run_cli(argv: Sequence[str]) -> int:
     except ParseError as exc:
         print(f"parse error at offset {exc.position}: {exc.message}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read Hamiltonian file: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,8 @@ cap at ``MAX_DENSE_QUBITS`` and the Hermitian exponential at
 simulator. The loops run over column blocks: the circuit unitary is built
 one block at a time, ``verify`` regenerates the per-term reference one
 block at a time instead of holding it whole, and the distance sums both its
-phase-fixing overlap and its squared norm block by block.
+phase-fixing overlap and its squared norm block by block. Each gate's
+kernel and each term's rotation is set up once and run on every block.
 """
 
 from __future__ import annotations
@@ -94,44 +95,32 @@ def exp_pauli_closed_form(p: PauliString, t: float) -> np.ndarray:
     return math.cos(t) * np.eye(dim, dtype=complex) - 1j * math.sin(t) * pauli_matrix(p)
 
 
-def apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.ndarray:
-    """Overwrite u, a writable complex128 array with 2^n rows, with
-    exp(-i*t*P) @ u, and return it; O(d^2) time, block-sized temporaries.
+def _rotation(p: PauliString, t: float) -> Callable[[np.ndarray], None]:
+    """The in-place update u <- exp(-i*t*P) @ u of a block u with 2^n rows,
+    set up once for any number of blocks.
 
-    P is a signed permutation (:func:`_signed_permutation`): it sends basis
-    state src to src ^ flip with factor phase[src]. So row idx of P @ u is
-    phase[src] * u[src] with src = idx ^ flip, and the result is the value
-    ``exp_pauli_closed_form(p, t) @ u`` without a d x d matmul. Rows idx
-    and idx ^ flip only feed each other, so the update runs over blocks of
-    such row pairs; each element gets the same operations, in the same
-    operand order, as the whole-matrix expression
-    ``cos(t)*u - (1j*sin(t))*(phase[:, None]*u[src])``.
+    P sends basis state src to src ^ flip with factor phase[src]
+    (:func:`_signed_permutation`), so rows lo and hi = lo ^ flip only feed
+    each other. Each element gets the same operations, in the same operand
+    order, as ``cos(t)*u - (1j*sin(t))*(phase[src][:, None]*u[src])``, src
+    = rows ^ flip, the value of ``exp_pauli_closed_form(p, t) @ u``.
     """
-    _check_qubit_cap(p.n_qubits)
-    dim = 2**p.n_qubits
-    if not isinstance(u, np.ndarray) or u.ndim != 2 or u.shape[0] != dim:
-        got = f"{type(u).__name__} of shape {np.shape(u)}"
-        raise ValueError(f"u must be a 2-D ndarray with {dim} rows, got {got}")
-    if u.dtype != np.complex128:
-        raise ValueError(f"u must have dtype complex128, got {u.dtype}")
-    if not u.flags.writeable:
-        raise ValueError("u must be writable, got flags.writeable=False")
-    flip, source_phase = _signed_permutation(p)
-    rows = np.arange(dim)
-    phase = source_phase[rows ^ flip]
+    flip, phase = _signed_permutation(p)
+    rows = np.arange(len(phase))
     # one row of each pair, the one whose highest flipped bit is clear
     # (every row when flip is 0)
-    low = rows[rows & (1 << flip.bit_length() >> 1) == 0]
+    lo = rows[rows & (1 << flip.bit_length() >> 1) == 0]
+    hi = lo ^ flip
+    lo_phase, hi_phase = phase[hi, None], phase[lo, None]
     cos, isin = math.cos(t), 1j * math.sin(t)
-    step = max(1, _BLOCK_ELEMENTS // (2 * max(1, u.shape[1])))
-    for start in range(0, len(low), step):
-        lo = low[start : start + step]
-        hi = lo ^ flip
+
+    def rotate(u: np.ndarray) -> None:
         a, b = u[lo], u[hi]
-        u[lo] = cos * a - isin * (phase[lo, None] * b)
+        u[lo] = cos * a - isin * (lo_phase * b)
         if flip:
-            u[hi] = cos * b - isin * (phase[hi, None] * a)
-    return u
+            u[hi] = cos * b - isin * (hi_phase * a)
+
+    return rotate
 
 
 def _apply_gate(
@@ -267,19 +256,18 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
-def _per_term_columns(h: Hamiltonian, t: float, start: int, stop: int) -> np.ndarray:
-    """Columns start:stop of the per-term reference, the product of
-    exp(-i*t*w_k*P_k) over the terms with the first term applied first.
+def _per_term_columns(rotations: list[Callable], dim: int, start: int, stop: int) -> np.ndarray:
+    """Columns start:stop of the per-term reference: the identity's columns
+    run through the ``rotations`` (:func:`_rotation`), first one first.
 
-    Each column is its column of the identity run through
-    :func:`apply_exp_pauli`, which computes every element the same way
-    whatever the number of columns, so a block equals the matching columns
-    of the whole product bit for bit.
+    A rotation computes every element the same way whatever the number of
+    columns, so a block equals the matching columns of the whole product
+    bit for bit.
     """
-    block = np.zeros((2**h.n_qubits, stop - start), dtype=complex)
+    block = np.zeros((dim, stop - start), dtype=complex)
     block[np.arange(start, stop), np.arange(stop - start)] = 1
-    for term in h.terms:
-        apply_exp_pauli(term.string, t * term.coefficient, block)
+    for rotate in rotations:
+        rotate(block)
     return block
 
 
@@ -313,8 +301,9 @@ def _column_distance(a: np.ndarray, b_columns: Callable[[int, int], np.ndarray])
 def _per_term_distance(u: np.ndarray, h: Hamiltonian, t: float) -> float:
     """phase_invariant_distance(u, R), bit for bit, for R the per-term
     reference of h at t, which is regenerated by column blocks and never
-    built whole."""
-    return _column_distance(u, partial(_per_term_columns, h, t))
+    built whole. Each term's rotation is set up once, for all blocks."""
+    rotations = [_rotation(term.string, t * term.coefficient) for term in h.terms]
+    return _column_distance(u, partial(_per_term_columns, rotations, len(u)))
 
 
 def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -176,12 +176,15 @@ def _format_coefficient(c: float) -> str:
 
 def format_hamiltonian(h: Hamiltonian) -> str:
     """Canonical rendering; ``parse_hamiltonian(format_hamiltonian(h), h.n_qubits)``
-    reproduces ``h`` exactly, term order and coefficients included.
+    reproduces ``h`` exactly, term order and coefficients included; the
+    grammar needs a term, so a Hamiltonian with none raises ValueError.
 
     Each term prints as ``coeff*F i F j ...`` with factors in ascending qubit
     order; the all-identity string prints as ``coeff*Id``; negative weights
     stay inside the coefficient literal and terms join with `` + ``.
     """
+    if not h.terms:
+        raise ValueError("cannot format a Hamiltonian with no terms: the grammar needs one")
     rendered = []
     for term in h.terms:
         coeff = _format_coefficient(term.coefficient)

@@ -162,8 +162,8 @@ class PauliTerm:
     string: PauliString
 
     def __post_init__(self) -> None:
-        if isinstance(self.coefficient, complex):
-            raise TypeError("coefficient must be real")
+        if isinstance(self.coefficient, (complex, str, bytes, bytearray)):
+            raise TypeError(f"coefficient must be a real number, got {self.coefficient!r}")
         coeff = float(self.coefficient)
         if not math.isfinite(coeff):
             raise ValueError(f"coefficient must be finite, got {self.coefficient!r}")

@@ -90,10 +90,10 @@ def _ladder(support: tuple[int, ...], theta: float) -> list[Gate]:
     return [*down, _trusted_gate(RZ, (support[0],), float(theta)), *reversed(down)]
 
 
-def _wrap_layers(
+def _wraps(
     string: PauliString, support: tuple[int, ...], variant: SynthVariant
-) -> list[tuple[list[Gate], list[Gate]]]:
-    """Basis-change layers, innermost first, as (pre, post) gate lists."""
+) -> tuple[list[Gate], list[Gate]]:
+    """The basis changes before and after the ladder, as (pre, post) gate lists."""
     x_only, y, z_only = string.x & ~string.z, string.x & string.z, string.z & ~string.x
     if variant is SynthVariant.Z_LADDER:
         pre: list[Gate] = []
@@ -107,7 +107,7 @@ def _wrap_layers(
                 h = _trusted_gate(H, (k,))
                 pre += [_trusted_gate(SDG, (k,)), h]
                 post += [h, _trusted_gate(S, (k,))]
-        return [(pre, post)]
+        return pre, post
 
     if variant is SynthVariant.X_LADDER:
         x_legs = support
@@ -126,7 +126,7 @@ def _wrap_layers(
         outer_post = [_trusted_gate(S, (k,)) for k in y_legs]
 
     inner = [_trusted_gate(H, (k,)) for k in x_legs]
-    return [(inner, list(inner)), (outer_pre, outer_post)]
+    return outer_pre + inner, inner + outer_post
 
 
 def _term_gates(term: PauliTerm, t: float, variant: SynthVariant) -> list[Gate]:
@@ -134,10 +134,8 @@ def _term_gates(term: PauliTerm, t: float, variant: SynthVariant) -> list[Gate]:
     support = term.string.support
     if not support:
         return []
-    gates = _ladder(support, 2.0 * t * term.coefficient)
-    for pre, post in _wrap_layers(term.string, support, variant):
-        gates = pre + gates + post
-    return gates
+    pre, post = _wraps(term.string, support, variant)
+    return pre + _ladder(support, 2.0 * t * term.coefficient) + post
 
 
 def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumCircuit:

@@ -10,7 +10,6 @@ from random import Random
 import numpy as np
 
 from pauliexp import Gate, Hamiltonian, PauliOp, PauliString, PauliTerm, QuantumCircuit
-from pauliexp.oracle import _BLOCK_ELEMENTS, apply_exp_pauli
 from pauliexp.synth import _term_gates
 
 PAULI_CHARS = "IXYZ"
@@ -167,9 +166,10 @@ def reference_hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
 
 
 def reference_apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.ndarray:
-    """apply_exp_pauli as written over dense ops, kept as its reference: the
-    flip mask and the Z/Y signs are built one PauliOp at a time, the signs
-    by a Kronecker chain."""
+    """u <- exp(-i*t*P) @ u in place, the oracle's per-term rotation written
+    over dense ops and kept as its reference: the flip mask and the Z/Y
+    signs are built one PauliOp at a time, the signs by a Kronecker chain,
+    and all row pairs are updated at once."""
     dim = 2**p.n_qubits
     flip = 0
     signs = np.ones(1)
@@ -179,26 +179,23 @@ def reference_apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.nda
         signs = np.kron(signs, np.array([1.0, -1.0]) if zy else np.array([1.0, 1.0]))
     rows = np.arange(dim)
     phase = 1j ** sum(op is PauliOp.Y for op in p.ops) * signs[rows ^ flip]
-    low = rows[rows & (1 << flip.bit_length() >> 1) == 0]
+    lo = rows[rows & (1 << flip.bit_length() >> 1) == 0]
+    hi = lo ^ flip
     cos, isin = math.cos(t), 1j * math.sin(t)
-    step = max(1, _BLOCK_ELEMENTS // (2 * max(1, u.shape[1])))
-    for start in range(0, len(low), step):
-        lo = low[start : start + step]
-        hi = lo ^ flip
-        a, b = u[lo], u[hi]
-        u[lo] = cos * a - isin * (phase[lo, None] * b)
-        if flip:
-            u[hi] = cos * b - isin * (phase[hi, None] * a)
+    a, b = u[lo], u[hi]
+    u[lo] = cos * a - isin * (phase[lo, None] * b)
+    if flip:
+        u[hi] = cos * b - isin * (phase[hi, None] * a)
     return u
 
 
 def reference_per_term_product(h: Hamiltonian, t: float) -> np.ndarray:
     """The per-term verify reference built whole, the test reference for the
     column blocks verify regenerates: the identity run through
-    apply_exp_pauli once per term, first term first."""
+    :func:`reference_apply_exp_pauli` once per term, first term first."""
     u = np.eye(2**h.n_qubits, dtype=complex)
     for term in h.terms:
-        apply_exp_pauli(term.string, t * term.coefficient, u)
+        reference_apply_exp_pauli(term.string, t * term.coefficient, u)
     return u
 
 

@@ -186,6 +186,9 @@ def test_rotation_merge_drops_exact_zero_only():
     merged = cancel_adjacent(tiny).gates
     total = 0.25 + (-0.25 + 1e-18)
     assert merged == (() if total == 0.0 else (Gate.rz(0, total),))
+    # no tolerance: a chain that is zero only in exact arithmetic survives
+    chain = QuantumCircuit(1, (Gate.rz(0, 0.1), Gate.rz(0, 0.2), Gate.rz(0, -0.3)))
+    assert cancel_adjacent(chain).gates == (Gate.rz(0, 5.551115123125783e-17),)
 
 
 def test_rotation_merge_overflow_is_rejected():

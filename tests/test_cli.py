@@ -24,6 +24,7 @@ from pauliexp import (
     trotter_circuit,
     validate_qasm,
 )
+from pauliexp import oracle
 from pauliexp.cli import VERIFY_THRESHOLD, run_cli
 from helpers import random_pauli_string
 
@@ -282,12 +283,17 @@ def test_option_values_may_start_with_a_dash(command, ham, t, tmp_path, monkeypa
     assert _run([command, "--ham-file", "-h.ham", *rest, "--t", t], capsys) == spaced
 
 
-def test_missing_ham_file_exits_1(tmp_path, capsys):
-    rc = run_cli(
-        ["synth", "--ham-file", str(tmp_path / "nope.ham"), "--n", "2", "--t", "0.5"]
-    )
-    assert rc == 1
-    assert "cannot read" in capsys.readouterr().err
+@pytest.mark.parametrize("source", ["missing", "directory", "not-utf-8"])
+def test_missing_ham_file_exits_1(source, tmp_path, capsys):
+    path = tmp_path / "cost.ham"
+    if source == "directory":
+        path.mkdir()
+    elif source == "not-utf-8":
+        path.write_bytes(b"1*Z0 \xff\n")
+    rc = run_cli(["synth", "--ham-file", str(path), "--n", "2", "--t", "0.5"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert "cannot read" in captured.err
 
 
 def test_ham_file_with_comments(tmp_path, capsys):
@@ -401,3 +407,15 @@ def test_per_term_verify_holds_one_dense_matrix_at_n10(capsys):
     # the circuit unitary, as in test_dense_oracle_holds_only_its_result_at_n10,
     # plus block-sized temporaries: no second d x d matrix
     assert peak <= 1.25 * d * d * 16 + 4 * 2**20
+
+
+def test_per_term_verify_sets_each_term_up_once(monkeypatch, capsys):
+    # at n=10 the reference is regenerated in 32 column blocks per distance
+    # pass; each term's signed permutation is still built only once
+    calls = []
+    setup = oracle._signed_permutation
+    monkeypatch.setattr(oracle, "_signed_permutation", lambda p: calls.append(p) or setup(p))
+    h = "0.3*X0 Y1 Z2 X3 Y4 Z5 X6 Y7 Z8 X9 + 0.5*Id + 0.2*Z0 Z1 Z2 Z3 Z4"
+    rc = run_cli(["verify", "--ham", h, "--n", "10", "--t", "0.4"])
+    assert (rc, capsys.readouterr().out[-5:]) == (0, "PASS\n")
+    assert len(calls) == 3

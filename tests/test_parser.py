@@ -113,6 +113,14 @@ def test_format_canonical_examples():
     assert format_hamiltonian(ident) == "2*Id"
 
 
+def test_format_rejects_a_hamiltonian_with_no_terms():
+    # its rendering "" would not parse back
+    with pytest.raises(ParseError, match="empty input"):
+        parse_hamiltonian("", 2)
+    with pytest.raises(ValueError, match="no terms"):
+        format_hamiltonian(Hamiltonian(2, ()))
+
+
 def test_format_of_parsed_multi_factor_term():
     h = parse_hamiltonian("Z0 Y2 X5 Z7", 8)
     assert format_hamiltonian(h) == "1*Z0 Y2 X5 Z7"

@@ -22,7 +22,7 @@ from pauliexp import (
     parse_hamiltonian,
     pauli_matrix,
 )
-from pauliexp.oracle import apply_exp_pauli
+from pauliexp.oracle import _rotation
 from helpers import (
     label_of,
     reference_apply_exp_pauli,
@@ -128,13 +128,14 @@ def test_pauli_and_hamiltonian_matrices_equal_the_kronecker_build(label):
 
 
 @for_labels(1, 6)
-def test_apply_exp_pauli_equals_the_dense_ops_build(label):
+def test_rotation_equals_the_dense_ops_build(label):
     p = PauliString.from_label(label)
     rng = np.random.default_rng(len(label))
     dim = 2 ** len(label)
     u = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
     for t in (0.37, -2.1):
-        got = apply_exp_pauli(p, t, u.copy())
+        got = u.copy()
+        _rotation(p, t)(got)
         assert np.array_equal(got, reference_apply_exp_pauli(p, t, u.copy()))
 
 

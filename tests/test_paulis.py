@@ -87,6 +87,11 @@ def test_term_requires_finite_real_coefficient():
         PauliTerm(float("inf"), p)
     with pytest.raises(TypeError):
         PauliTerm(1.0 + 2.0j, p)
+    # float() would parse text, so text is rejected before it gets there
+    for text in ("0.5", b"0.5", bytearray(b"0.5")):
+        with pytest.raises(TypeError) as excinfo:
+            PauliTerm(text, p)
+        assert f"got {text!r}" in str(excinfo.value)
     assert PauliTerm(-2.5, p).coefficient == -2.5
 
 

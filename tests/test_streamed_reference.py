@@ -26,7 +26,7 @@ from pauliexp import (
     trotter_circuit,
 )
 from pauliexp.cli import VERIFY_THRESHOLD, run_cli
-from pauliexp.oracle import _BLOCK_ELEMENTS, _per_term_columns
+from pauliexp.oracle import _BLOCK_ELEMENTS, _per_term_columns, _rotation
 from helpers import label_of, reference_per_term_product
 
 try:
@@ -112,11 +112,13 @@ def test_reference_blocks_equal_the_whole_product(case):
     h, _, t = case
     whole = reference_per_term_product(h, t)
     d = len(whole)
+    rotations = [_rotation(term.string, t * term.coefficient) for term in h.terms]
     width = max(1, _BLOCK_ELEMENTS // 2 // d)  # the distance's partition
     uneven = sorted({0, 1, d // 3, d // 2 + 1, d})
     for bounds in (list(range(0, d, width)) + [d], uneven):
         for start, stop in zip(bounds, bounds[1:]):
-            assert np.array_equal(_per_term_columns(h, t, start, stop), whole[:, start:stop])
+            block = _per_term_columns(rotations, d, start, stop)
+            assert np.array_equal(block, whole[:, start:stop])
 
 
 @for_cases(examples=20)
