@@ -60,6 +60,21 @@ def test_pauli_matrix_cap():
         pauli_matrix(PauliString.from_label("Z" * 13))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: exp_pauli_closed_form(PauliString.from_label("Z" * 13), 0.5),
+        lambda: circuit_unitary(QuantumCircuit(13)),
+        lambda: hamiltonian_matrix(Hamiltonian(13)),
+    ],
+    ids=["closed_form", "circuit_unitary", "hamiltonian_matrix"],
+)
+def test_dense_builders_respect_the_qubit_cap(build):
+    # each checks the cap itself, before allocating a 2^13 x 2^13 matrix
+    with pytest.raises(ValueError, match="13 qubits exceeds the dense-matrix cap of 12"):
+        build()
+
+
 def test_closed_form_at_zero_is_identity():
     for label in ("Z", "XY", "IZX"):
         p = PauliString.from_label(label)
@@ -202,6 +217,12 @@ def test_matrix_exponential_rejects_non_hermitian():
     bad = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
         matrix_exponential(bad, 1.0)
+
+
+@pytest.mark.parametrize("m", [np.ones(4, dtype=complex), np.ones((2, 3), dtype=complex)])
+def test_matrix_exponential_rejects_non_square(m):
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape"):
+        matrix_exponential(m, 1.0)
 
 
 def test_matrix_exponential_rejects_oversize():
