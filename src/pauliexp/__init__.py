@@ -19,19 +19,25 @@ from .synth import (
     trotter_circuit,
 )
 
+# The dense oracle needs numpy; load it on first use so compiling does not.
+_ORACLE_NAMES = frozenset(
+    {
+        "MAX_DENSE_QUBITS",
+        "MAX_EXPM_QUBITS",
+        "circuit_unitary",
+        "exp_pauli_closed_form",
+        "hamiltonian_matrix",
+        "matrix_exponential",
+        "pauli_matrix",
+        "phase_invariant_distance",
+    }
+)
+
 __all__ = [
     "GATE_KINDS",
     "Gate",
     "QuantumCircuit",
     "cancel_adjacent",
-    "MAX_DENSE_QUBITS",
-    "MAX_EXPM_QUBITS",
-    "circuit_unitary",
-    "exp_pauli_closed_form",
-    "hamiltonian_matrix",
-    "matrix_exponential",
-    "pauli_matrix",
-    "phase_invariant_distance",
     "ParseError",
     "format_hamiltonian",
     "parse_hamiltonian",
@@ -46,23 +52,10 @@ __all__ = [
     "exp_pauli_term",
     "synth_z_rotation",
     "trotter_circuit",
+    *sorted(_ORACLE_NAMES),
 ]
 
 __version__ = "0.1.0"
-
-# The dense oracle needs numpy; load it on first use so compiling does not.
-_ORACLE_NAMES = frozenset(
-    {
-        "MAX_DENSE_QUBITS",
-        "MAX_EXPM_QUBITS",
-        "circuit_unitary",
-        "exp_pauli_closed_form",
-        "hamiltonian_matrix",
-        "matrix_exponential",
-        "pauli_matrix",
-        "phase_invariant_distance",
-    }
-)
 
 
 def __getattr__(name: str) -> object:

@@ -94,13 +94,16 @@ def _build_parser() -> _Parser:
 
     synth = subs.add_parser("synth", help="synthesize one slice and emit OpenQASM")
     _add_common(synth, compact=True, out=True)
+    synth.set_defaults(run=_emit, reps=1)
 
     trotter = subs.add_parser("trotter", help="synthesize a Trotter product and emit OpenQASM")
     _add_common(trotter, compact=True, out=True)
     trotter.add_argument("--reps", type=_positive_int, default=1, help="Trotter slices")
+    trotter.set_defaults(run=_emit)
 
     verify = subs.add_parser("verify", help="check the synthesis against the matrix oracle")
     _add_common(verify)
+    verify.set_defaults(run=_verify)
     verify.add_argument(
         "--exact",
         action="store_true",
@@ -110,6 +113,7 @@ def _build_parser() -> _Parser:
 
     stats = subs.add_parser("stats", help="print the gate histogram of one slice")
     _add_common(stats, compact=True)
+    stats.set_defaults(run=_stats)
     return parser
 
 
@@ -122,7 +126,7 @@ def _load_hamiltonian(ns: argparse.Namespace) -> Hamiltonian:
     return parse_hamiltonian(text, ns.n)
 
 
-def _emit(ns: argparse.Namespace, h: Hamiltonian, reps: int = 1) -> None:
+def _emit(ns: argparse.Namespace, h: Hamiltonian) -> int:
     """Write the QASM document of the Trotter product to ``--out`` or stdout
     line by line through the stream's buffer, so the whole text never exists
     at once.
@@ -131,7 +135,7 @@ def _emit(ns: argparse.Namespace, h: Hamiltonian, reps: int = 1) -> None:
     peephole with ``--compact``. Every term is checked before the target is
     opened, so an error leaves stdout empty and creates no file.
     """
-    params = EvolutionParams(ns.t, reps)
+    params = EvolutionParams(ns.t, ns.reps)
     gates, phase = _product(h, params, SynthVariant(ns.variant), ns.compact)
     lines = _qasm_lines(h.n_qubits, gates, phase)
     if ns.out:
@@ -140,13 +144,14 @@ def _emit(ns: argparse.Namespace, h: Hamiltonian, reps: int = 1) -> None:
         target = nullcontext(sys.stdout)
     with target as fh:
         fh.writelines(lines)
+    return 0
 
 
 def _verify(ns: argparse.Namespace, h: Hamiltonian) -> int:
     # only verify needs the dense oracle, and with it numpy
     from .oracle import (
-        MAX_DENSE_QUBITS,
         MAX_EXPM_QUBITS,
+        _check_qubit_cap,
         _per_term_distance,
         circuit_unitary,
         hamiltonian_matrix,
@@ -154,20 +159,17 @@ def _verify(ns: argparse.Namespace, h: Hamiltonian) -> int:
         phase_invariant_distance,
     )
 
-    if h.n_qubits > MAX_DENSE_QUBITS:
-        print(
-            f"cannot verify: {h.n_qubits} qubits exceeds the dense-matrix "
-            f"cap of {MAX_DENSE_QUBITS}",
-            file=sys.stderr,
-        )
+    try:
+        _check_qubit_cap(h.n_qubits)
+    except ValueError as exc:
+        print(f"cannot verify: {exc}", file=sys.stderr)
         return 3
-    if ns.exact and h.n_qubits > MAX_EXPM_QUBITS:
-        print(
-            f"cannot verify --exact: {h.n_qubits} qubits exceeds the matrix "
-            f"exponential cap of {MAX_EXPM_QUBITS}",
-            file=sys.stderr,
-        )
-        return 3
+    if ns.exact:
+        try:
+            _check_qubit_cap(h.n_qubits, MAX_EXPM_QUBITS, "matrix exponential")
+        except ValueError as exc:
+            print(f"cannot verify --exact: {exc}", file=sys.stderr)
+            return 3
     circuit = trotter_circuit(h, EvolutionParams(ns.t), SynthVariant(ns.variant))
     synthesized = circuit_unitary(circuit)
     if ns.exact:
@@ -205,23 +207,13 @@ def run_cli(argv: Sequence[str]) -> int:
         return 1
 
     try:
-        if ns.command == "synth":
-            _emit(ns, h)
-            return 0
-        if ns.command == "trotter":
-            _emit(ns, h, reps=ns.reps)
-            return 0
-        if ns.command == "verify":
-            return _verify(ns, h)
-        if ns.command == "stats":
-            return _stats(ns, h)
+        return ns.run(ns, h)
     except ValueError as exc:  # e.g. rotation angle overflowing to inf
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {ns.command!r}")
 
 
 def main() -> None:

@@ -47,9 +47,9 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     raise AssertionError(f"unhandled gate kind {gate.kind}")
 
 
-def _check_qubit_cap(n: int) -> None:
-    if n > MAX_DENSE_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the dense-matrix cap of {MAX_DENSE_QUBITS}")
+def _check_qubit_cap(n: int, cap: int = MAX_DENSE_QUBITS, what: str = "dense-matrix") -> None:
+    if n > cap:
+        raise ValueError(f"{n} qubits exceeds the {what} cap of {cap}")
 
 
 def _msb_first(mask: int, n: int) -> int:

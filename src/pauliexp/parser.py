@@ -103,10 +103,7 @@ class _Parser:
         explicit_coeff = False
         if self.here.kind == "NUMBER":
             tok = self.advance()
-            try:
-                coeff = float(tok.text)
-            except ValueError:
-                raise ParseError(tok.position, f"malformed number {tok.text!r}") from None
+            coeff = float(tok.text)
             if not math.isfinite(coeff):
                 raise ParseError(tok.position, f"coefficient {tok.text!r} is not finite")
             star = self.advance()

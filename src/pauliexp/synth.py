@@ -129,13 +129,13 @@ def _wraps(
     return outer_pre + inner, inner + outer_post
 
 
-def _term_gates(term: PauliTerm, t: float, variant: SynthVariant) -> list[Gate]:
-    """Gates of exp(-i*t*w*P) for a checked term and angle; none for the identity."""
+def _term_gates(term: PauliTerm, angle: float, variant: SynthVariant) -> list[Gate]:
+    """Gates of exp(-i*t*w*P) for a term and its checked angle 2*t*w; none for the identity."""
     support = term.string.support
     if not support:
         return []
     pre, post = _wraps(term.string, support, variant)
-    return pre + _ladder(support, 2.0 * t * term.coefficient) + post
+    return pre + _ladder(support, angle) + post
 
 
 def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumCircuit:
@@ -162,8 +162,8 @@ def _product(
     if not isinstance(variant, SynthVariant):
         raise ValueError(f"unknown synthesis variant {variant!r}")
     t = params.t / params.reps
-    for term in h.terms:
-        angle = 2.0 * t * term.coefficient
+    angles = [2.0 * t * term.coefficient for term in h.terms]
+    for term, angle in zip(h.terms, angles):
         if term.string.x | term.string.z and not math.isfinite(angle):
             raise ValueError(f"rz needs a finite angle, got {angle!r}")
     # the identity terms' phases -t/reps*w summed left to right over terms x
@@ -175,18 +175,18 @@ def _product(
             phase += piece_phase
     if not math.isfinite(phase):
         raise ValueError("global_phase must be finite")
-    gates = _replayed_slice(h.terms, t, variant, params.reps)
+    gates = _replayed_slice(h.terms, angles, variant, params.reps)
     return (_cancel(gates) if compact else gates), phase
 
 
 def _replayed_slice(
-    terms: tuple[PauliTerm, ...], t: float, variant: SynthVariant, reps: int
+    terms: tuple[PauliTerm, ...], angles: list[float], variant: SynthVariant, reps: int
 ) -> Iterator[Gate]:
     """The gate stream of :func:`_product`; its body first runs when the
     first gate is asked for, after the checks."""
     kept: list[Gate] = []
-    for term in terms:
-        gates = _term_gates(term, t, variant)
+    for term, angle in zip(terms, angles):
+        gates = _term_gates(term, angle, variant)
         if reps > 1:
             kept += gates
         yield from gates

@@ -206,5 +206,6 @@ def reference_exp_pauli_term(term: PauliTerm, t: float, variant) -> QuantumCircu
     -t*w for the identity string, 0.0 otherwise."""
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    gates = tuple(Gate(g.kind, g.qubits, g.angle) for g in _term_gates(term, t, variant))
+    angle = 2.0 * t * term.coefficient
+    gates = tuple(Gate(g.kind, g.qubits, g.angle) for g in _term_gates(term, angle, variant))
     return QuantumCircuit(term.n_qubits, gates, 0.0 if gates else -t * term.coefficient)
