@@ -48,6 +48,13 @@ def _as_int(value: object, what: str) -> int:
     return operator.index(value)
 
 
+def _as_real(value: object, what: str) -> float:
+    """``value`` as a float; numpy reals and bools pass, complex and text do not."""
+    if isinstance(value, (complex, str, bytes, bytearray)):
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, slots=True)
 class Gate:
     """One gate application: kind, qubit tuple, and angle for rotations."""
@@ -150,6 +157,8 @@ class QuantumCircuit:
             raise ValueError("n_qubits must be positive")
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
+            if not isinstance(gate, Gate):
+                raise TypeError(f"gates must be Gate values, got {gate!r}")
             self._check_bounds(gate)
         if not math.isfinite(self.global_phase):
             raise ValueError("global_phase must be finite")

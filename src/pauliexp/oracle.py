@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circuit import CX, CZ, H, RX, RZ, S, SDG, Gate, QuantumCircuit
+from .circuit import CX, CZ, H, RX, RZ, S, SDG, Gate, QuantumCircuit, _as_real
 from .paulis import Hamiltonian, PauliString, _bits
 
 MAX_DENSE_QUBITS = 12
@@ -249,6 +249,9 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(
             f"dimension {m.shape[0]} exceeds the exponential cap of {2**MAX_EXPM_QUBITS}"
         )
+    t = _as_real(t, "t")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     deviation = np.linalg.norm(m - m.conj().T)
     if deviation > 1e-10 * max(1.0, np.linalg.norm(m)):
         raise ValueError(f"matrix is not Hermitian (deviation {deviation:.3e})")

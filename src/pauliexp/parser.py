@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 
 from .paulis import Hamiltonian, PauliString, PauliTerm
 
-_INT_RE = re.compile(r"\d+$")
+_INT_RE = re.compile(r"[0-9]+$")
 
 
 class ParseError(ValueError):
@@ -43,11 +43,12 @@ class _Token(NamedTuple):
     position: int
 
 
-# whitespace and comments match no named group and yield no token
+# whitespace and comments match no named group and yield no token; digits
+# are ASCII, as \d would also match the other Unicode digits
 _TOKEN_RE = re.compile(
     r"\s+|#[^\n]*"
     r"|(?P<PAULI>[XYZ])|(?P<ID>Id)|(?P<STAR>\*)|(?P<PLUS>\+)|(?P<MINUS>-)"
-    r"|(?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
 )
 
 

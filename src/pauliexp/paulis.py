@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .circuit import _as_int
+from .circuit import _as_int, _as_real
 
 
 class PauliOp(Enum):
@@ -162,9 +162,7 @@ class PauliTerm:
     string: PauliString
 
     def __post_init__(self) -> None:
-        if isinstance(self.coefficient, (complex, str, bytes, bytearray)):
-            raise TypeError(f"coefficient must be a real number, got {self.coefficient!r}")
-        coeff = float(self.coefficient)
+        coeff = _as_real(self.coefficient, "coefficient")
         if not math.isfinite(coeff):
             raise ValueError(f"coefficient must be finite, got {self.coefficient!r}")
         object.__setattr__(self, "coefficient", coeff)
@@ -194,6 +192,8 @@ class Hamiltonian:
             raise ValueError("n_qubits must be positive")
         object.__setattr__(self, "terms", tuple(self.terms))
         for term in self.terms:
+            if not isinstance(term, PauliTerm):
+                raise TypeError(f"terms must be PauliTerm values, got {term!r}")
             if term.n_qubits != self.n_qubits:
                 raise ValueError(
                     f"term {term.string.to_label()!r} acts on {term.n_qubits} "

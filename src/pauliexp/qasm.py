@@ -16,9 +16,10 @@ from .circuit import Gate, QuantumCircuit
 
 _HEADER = ('OPENQASM 2.0;', 'include "qelib1.inc";')
 
-_QREG_RE = re.compile(r"qreg q\[([1-9]\d*)\];$")
-_NUMBER = r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-_INDEX = r"q\[(0|[1-9]\d*)\]"
+# ASCII digits only: \d would also match the other Unicode digits
+_QREG_RE = re.compile(r"qreg q\[([1-9][0-9]*)\];$")
+_NUMBER = r"(-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+_INDEX = r"q\[(0|[1-9][0-9]*)\]"
 _ROTATION_RE = re.compile(rf"(?:rz|rx)\({_NUMBER}\) {_INDEX};$")  # groups: angle, qubit
 _STATEMENT_RES = (  # the groups of the other two capture qubit indices only
     re.compile(rf"(?:h|s|sdg) {_INDEX};$"),

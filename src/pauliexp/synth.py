@@ -13,7 +13,10 @@ Three interchangeable constructions are exposed:
 * ``mixed``      -- the core keeps Z factors bare and puts X legs only where
   the string carries X or Y, so only the Y qubits need an extra S wrap.
 
-All three produce the same unitary; they differ (at most) in gate sequence.
+All three produce the same unitary. For one term, z-ladder and mixed use
+the same gates in another order, and x-ladder is mixed plus an adjacent H
+pair on each side of the ladder for every Z factor: 4 gates more per Z
+factor, which :func:`cancel_adjacent` removes to leave mixed gate for gate.
 Wraps are emitted per support qubit in ascending order on both sides of the
 ladder, which fixes a deterministic gate order for golden tests.
 """
@@ -34,6 +37,7 @@ from .circuit import (
     Gate,
     QuantumCircuit,
     _as_int,
+    _as_real,
     _cancel,
     _trusted_gate,
 )
@@ -48,12 +52,13 @@ class SynthVariant(Enum):
 
 @dataclass(frozen=True)
 class EvolutionParams:
-    """Evolution angle t and the Trotter slice count."""
+    """Evolution angle t, stored as a float, and the Trotter slice count."""
 
     t: float
     reps: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "t", _as_real(self.t, "t"))
         if not math.isfinite(self.t):
             raise ValueError("t must be finite")
         object.__setattr__(self, "reps", _as_int(self.reps, "reps"))
@@ -152,13 +157,16 @@ def _product(
 ) -> tuple[Iterable[Gate], float]:
     """The gates of the first-order Trotter product, in order, and its phase.
 
-    Every check runs before the first gate: the variant is a
-    :class:`SynthVariant`, each term's RZ angle is finite, then the phase is
-    finite. So a stream that starts never fails part way; its gates lie
-    inside ``h.n_qubits`` because every term's string does.
+    Every check runs before the first gate: ``params`` are
+    :class:`EvolutionParams`, the variant is a :class:`SynthVariant`, each
+    term's RZ angle is finite, then the phase is finite. So a stream that
+    starts never fails part way; its gates lie inside ``h.n_qubits`` because
+    every term's string does.
     The gates are a lazy stream of the slice, synthesized once and replayed
     ``reps`` times; with ``compact``, the survivors of :func:`_cancel` on it.
     """
+    if not isinstance(params, EvolutionParams):
+        raise TypeError(f"params must be EvolutionParams, got {params!r}")
     if not isinstance(variant, SynthVariant):
         raise ValueError(f"unknown synthesis variant {variant!r}")
     t = params.t / params.reps

@@ -80,6 +80,7 @@ def test_whitespace_and_comments_ignored():
         ("1e999*Z0", 2, "not finite"),
         ("--Z0", 2, "expected a Pauli factor"),
         ("Z0 X1 Y2 extra", 3, "unknown token"),
+        ("\u0662*Z\u0661", 3, "unknown token"),  # Arabic-Indic digits read 2*Z1
     ],
 )
 def test_rejected_inputs_carry_positions(text, n, fragment):

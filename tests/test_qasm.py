@@ -97,6 +97,9 @@ def test_emitted_documents_always_validate():
         (HEADER + "qreg q[2];\nqreg q[3];\n", "not a supported statement"),
         (HEADER + "qreg q[2];\nh q[0];\nOPENQASM 2.0;\n", "not a supported statement"),
         (HEADER + "qreg q[2];\nh q[01];\n", "not a supported statement"),
+        # Arabic-Indic digits: 12 and 0.5 to int() and float(), not to OpenQASM
+        (HEADER + "qreg q[20];\nh q[1\u0662];\n", "not a supported statement"),
+        (HEADER + "qreg q[1];\nrz(\u0660.\u0665) q[0];\n", "not a supported statement"),
         (
             HEADER + "qreg q[1];\n// global phase: 1\nh q[0];\n// global phase: 2\n",
             "line 4 is not a supported statement",

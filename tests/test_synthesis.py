@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from collections import Counter
 from random import Random
 
 import numpy as np
@@ -17,6 +19,7 @@ from pauliexp import (
     SynthVariant,
     cancel_adjacent,
     circuit_unitary,
+    emit_qasm,
     exp_pauli_closed_form,
     exp_pauli_term,
     hamiltonian_matrix,
@@ -26,6 +29,7 @@ from pauliexp import (
     trotter_circuit,
 )
 from helpers import random_pauli_string, reference_exp_pauli_term
+from test_pauli_masks import for_labels
 
 T_SAMPLES = (0.1, 0.7, math.pi / 3, -1.2)
 
@@ -299,6 +303,59 @@ def test_evolution_params_validation():
 def test_evolution_params_rejects_non_int_reps(bad):
     with pytest.raises(ValueError, match=f"reps must be an int, got {bad!r}"):
         EvolutionParams(1.0, bad)
+
+
+def test_evolution_params_stores_t_as_a_float():
+    h = Hamiltonian(2, (term("XZ", 0.5), term("YY", -1.5)))
+    params = EvolutionParams(np.float32(0.7), 5)
+    assert type(params.t) is float
+    assert emit_qasm(trotter_circuit(h, params)) == emit_qasm(
+        trotter_circuit(h, EvolutionParams(float(np.float32(0.7)), 5))
+    )
+    assert type(EvolutionParams(True).t) is float
+
+
+@pytest.mark.parametrize("bad", [0.7j, "0.7", b"0.7", bytearray(b"0.7")])
+def test_evolution_params_rejects_complex_and_text_t(bad):
+    with pytest.raises(TypeError, match=re.escape(f"t must be a real number, got {bad!r}")):
+        EvolutionParams(bad)
+
+
+@pytest.mark.parametrize(
+    "build,error,fragment",
+    [
+        (lambda: Hamiltonian(2, ["X"]), TypeError, "PauliTerm values, got 'X'"),
+        (lambda: QuantumCircuit(2, ["h"]), TypeError, "Gate values, got 'h'"),
+        (
+            lambda: trotter_circuit(Hamiltonian(1, (term("Z"),)), 0.5),
+            TypeError,
+            "EvolutionParams, got 0.5",
+        ),
+        (lambda: matrix_exponential(np.eye(2), float("inf")), ValueError, "finite, got inf"),
+        (lambda: matrix_exponential(np.eye(2), 1j), TypeError, "real number, got 1j"),
+    ],
+    ids=["hamiltonian-terms", "circuit-gates", "trotter-params", "expm-t", "expm-complex-t"],
+)
+def test_wrong_argument_types_and_infinite_t_are_named(build, error, fragment):
+    with pytest.raises(error, match=fragment):
+        build()
+
+
+@for_labels(1, 8, examples=500)
+def test_layouts_differ_by_h_pairs_on_z_factors(label):
+    """For one term, cancel_adjacent turns x-ladder into mixed gate for gate,
+    x-ladder has 4 gates more than mixed per Z factor, and z-ladder and mixed
+    use the same gates."""
+    rng = Random(label)
+    weighted = term(label, rng.uniform(-3.0, 3.0))
+    t = rng.uniform(-2.0, 2.0)
+    x_ladder, z_ladder, mixed = (
+        exp_pauli_term(weighted, t, variant)
+        for variant in (SynthVariant.X_LADDER, SynthVariant.Z_LADDER, SynthVariant.MIXED)
+    )
+    assert cancel_adjacent(x_ladder).gates == mixed.gates
+    assert len(x_ladder) - len(mixed) == 4 * label.count("Z")
+    assert Counter(z_ladder.gates) == Counter(mixed.gates)
 
 
 def test_evolution_params_accepts_numpy_int_reps():
