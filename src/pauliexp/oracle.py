@@ -11,7 +11,8 @@ simulator. The loops run over column blocks: the circuit unitary is built
 one block at a time, ``verify`` regenerates the per-term reference one
 block at a time instead of holding it whole, and the distance sums both its
 phase-fixing overlap and its squared norm block by block. Each gate's
-kernel and each term's rotation is set up once and run on every block.
+kernel takes its views of the block once per ``circuit_unitary``, each
+term's rotation is set up once per ``verify``, and both run on every block.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circuit import CX, CZ, H, RX, RZ, S, SDG, Gate, QuantumCircuit, _as_real
+from .circuit import CX, CZ, H, RZ, S, SDG, Gate, QuantumCircuit, _as_real
 from .paulis import Hamiltonian, PauliString, _bits
 
 MAX_DENSE_QUBITS = 12
@@ -41,10 +42,8 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     half = gate.angle / 2
     if gate.kind == RZ:
         return np.diag([np.exp(-1j * half), np.exp(1j * half)])
-    if gate.kind == RX:
-        c, s = math.cos(half), math.sin(half)
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    raise AssertionError(f"unhandled gate kind {gate.kind}")
+    c, s = math.cos(half), math.sin(half)  # RX
+    return np.array([[c, -1j * s], [-1j * s, c]])
 
 
 def _check_qubit_cap(n: int, cap: int = MAX_DENSE_QUBITS, what: str = "dense-matrix") -> None:
@@ -123,79 +122,49 @@ def _rotation(p: PauliString, t: float) -> Callable[[np.ndarray], None]:
     return rotate
 
 
-def _apply_gate(
-    gate_mat: np.ndarray,
-    qubits: tuple[int, ...],
-    tensor: np.ndarray,
-    gathered: np.ndarray,
-    product: np.ndarray,
-) -> None:
-    """Left-multiply, in place, a gate at ``qubits`` into ``tensor``, a
-    2^n x m matrix viewed with shape (2,)*n + (m,).
-
-    ``gathered`` and ``product`` are scratch arrays of the tensor's size,
-    reused so that no gate allocates. The steps are those of
-    ``np.tensordot(gate, tensor, axes=(gate inputs, qubits))`` followed by
-    moving the gate's outputs back to ``qubits`` (gather the gate's axes to
-    the front, one matrix product, scatter back), so the bits are theirs.
-    """
-    k = len(qubits)
-    perm = qubits + tuple(axis for axis in range(tensor.ndim) if axis not in qubits)
-    view = tensor.transpose(perm)
-    front = gathered.reshape(view.shape)
-    front[...] = view
-    out = product.reshape(2**k, -1)
-    np.dot(gate_mat, front.reshape(2**k, -1), out=out)
-    view[...] = out.reshape(view.shape)
-
-
-def _part(ndim: int, qubits: tuple[int, ...], bits: tuple[int, ...]) -> tuple:
-    """Index of the view of a (2,)*n + (m,) tensor where qubit qubits[i]
-    has the value bits[i]."""
-    index: list = [slice(None)] * ndim
-    for q, bit in zip(qubits, bits):
-        index[q] = bit
-    return tuple(index)
-
-
-def _swap_parts(
-    zero: tuple, one: tuple, tensor: np.ndarray, gathered: np.ndarray, product: np.ndarray
-) -> None:
-    """CX in place: swap the target's 0 and 1 parts where the control is 1."""
-    a, b = tensor[zero], tensor[one]
-    saved = gathered.reshape(-1)[: a.size].reshape(a.shape)
-    saved[...] = a
-    a[...] = b
-    b[...] = saved
-
-
-def _scale_part(
-    factor: complex, part: tuple, tensor: np.ndarray, gathered: np.ndarray, product: np.ndarray
-) -> None:
-    """CZ, S or Sdg in place: multiply the part where its qubits are all 1."""
-    tensor[part] *= factor
-
-
 # phase on the all-ones part of a diagonal gate whose other entries are 1
 _PHASE_FACTORS = {CZ: -1, S: 1j, SDG: -1j}
 
 
-def _kernel(gate: Gate, ndim: int) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
-    """The in-place update of a block tensor by ``gate``.
+def _kernel(
+    gate: Gate, tensor: np.ndarray, gathered: np.ndarray, product: np.ndarray
+) -> Callable[[], object]:
+    """The in-place update by ``gate`` of ``tensor``, a 2^n x m block
+    viewed with shape (2,)*n + (m,), with its views taken once, here.
 
-    CX, CZ, S and Sdg only move entries or multiply them by -1, i or -i,
-    which a copy or an elementwise multiply does exactly, without the
-    small matrix product; their nonzero results equal the product's bit for
-    bit. H, RZ and RX keep the product: elementwise arithmetic would round
-    differently from the BLAS kernel.
+    ``gathered`` and ``product`` are scratch arrays of the tensor's shape,
+    shared by all kernels, so no gate allocates. CX, CZ, S and Sdg only move
+    entries or multiply them by -1, i or -i, which a copy or an elementwise
+    multiply does exactly; their nonzero results equal the matrix product's
+    bit for bit. H, RZ and RX keep the steps of ``np.tensordot`` on the
+    qubit's axis (gather it to the front, one matrix product, scatter back),
+    so the bits are theirs: elementwise arithmetic would round differently.
     """
     qubits = gate.qubits
+    # the gate's axes first, the others in order
+    view = tensor.transpose(qubits + tuple(a for a in range(tensor.ndim) if a not in qubits))
     if gate.kind == CX:
-        return partial(_swap_parts, _part(ndim, qubits, (1, 0)), _part(ndim, qubits, (1, 1)))
+        # swap the target's 0 and 1 parts where the control is 1
+        zero, one, saved = view[1, 0], view[1, 1], gathered[1, 0]
+
+        def swap() -> None:
+            saved[...] = zero
+            zero[...] = one
+            one[...] = saved
+
+        return swap
     if gate.kind in _PHASE_FACTORS:
-        all_ones = _part(ndim, qubits, (1,) * len(qubits))
-        return partial(_scale_part, _PHASE_FACTORS[gate.kind], all_ones)
-    return partial(_apply_gate, _gate_matrix(gate), qubits)
+        # multiply the part where the gate's qubits are all 1
+        part = view[(1,) * len(qubits)]
+        return partial(np.multiply, part, _PHASE_FACTORS[gate.kind], out=part)
+    matrix = _gate_matrix(gate)
+
+    def multiply() -> None:
+        gathered[...] = view
+        np.dot(matrix, gathered.reshape(2, -1), out=product.reshape(2, -1))
+        view[...] = product
+
+    return multiply
 
 
 def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
@@ -208,17 +177,17 @@ def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
     _check_qubit_cap(c.n_qubits)
     n = c.n_qubits
     dim = 2**n
-    kernels = [_kernel(gate, n + 1) for gate in c.gates]
     u = np.empty((dim, dim), dtype=complex)
     width = min(dim, _BLOCK_ELEMENTS // dim)
-    block, gathered, product = (np.empty((dim, width), dtype=complex) for _ in range(3))
-    tensor = block.reshape((2,) * n + (width,))
+    tensor, gathered, product = (np.empty((2,) * n + (width,), dtype=complex) for _ in range(3))
+    block = tensor.reshape(dim, width)
+    kernels = [_kernel(gate, tensor, gathered, product) for gate in c.gates]
     columns = np.arange(width)
     for start in range(0, dim, width):
         block.fill(0)
         block[start + columns, columns] = 1  # columns start.. of the identity
         for kernel in kernels:
-            kernel(tensor, gathered, product)
+            kernel()
         u[:, start : start + width] = block
     if c.global_phase != 0.0:
         # scalar first, as in exp(i*phase) * u: the operand order fixes the bits
