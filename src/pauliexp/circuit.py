@@ -49,10 +49,22 @@ def _as_int(value: object, what: str) -> int:
 
 
 def _as_real(value: object, what: str) -> float:
-    """``value`` as a float; numpy reals and bools pass, complex and text do not."""
-    if isinstance(value, (complex, str, bytes, bytearray)):
-        raise TypeError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    """``value`` as a float; numpy reals and bools pass, complex, text, None
+    and other values float() rejects do not."""
+    if not isinstance(value, (complex, str, bytes, bytearray)):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be a real number, got {value!r}")
+
+
+def _finite_angle(kind: str, angle: object) -> float:
+    """A rotation angle as a finite float."""
+    value = None if angle is None else _as_real(angle, f"{kind} angle")
+    if value is None or not math.isfinite(value):
+        raise ValueError(f"{kind} needs a finite angle, got {angle!r}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,9 +90,7 @@ class Gate:
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"repeated qubit index in {qubits}")
         if self.kind in _ROTATIONS:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} needs a finite angle, got {self.angle!r}")
-            object.__setattr__(self, "angle", float(self.angle))
+            object.__setattr__(self, "angle", _finite_angle(self.kind, self.angle))
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
@@ -160,8 +170,10 @@ class QuantumCircuit:
             if not isinstance(gate, Gate):
                 raise TypeError(f"gates must be Gate values, got {gate!r}")
             self._check_bounds(gate)
-        if not math.isfinite(self.global_phase):
+        phase = _as_real(self.global_phase, "global_phase")
+        if not math.isfinite(phase):
             raise ValueError("global_phase must be finite")
+        object.__setattr__(self, "global_phase", phase)
 
     def _check_bounds(self, gate: Gate) -> None:
         for q in gate.qubits:

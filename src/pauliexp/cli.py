@@ -56,15 +56,23 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
     return attached
 
 
+def _ascii(text: str) -> str:
+    """``text`` unless it holds what int() and float() take but the
+    Hamiltonian grammar does not: a non-ASCII digit or ``_``."""
+    if not text.isascii() or "_" in text:
+        raise argparse.ArgumentTypeError(f"must be ASCII with no '_', got {text!r}")
+    return text
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = int(_ascii(text))
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    value = float(_ascii(text))
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value

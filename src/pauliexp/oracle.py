@@ -196,12 +196,16 @@ def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
 
 
 def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
-    """Sum of coefficient * pauli_matrix(string); Hermitian by construction."""
+    """Sum of coefficient * pauli_matrix(string); Hermitian by construction.
+    A sum past the float range raises ValueError."""
     _check_qubit_cap(h.n_qubits)
     dim = 2**h.n_qubits
     total = np.zeros((dim, dim), dtype=complex)
-    for term in h.terms:
-        total += term.coefficient * pauli_matrix(term.string)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in h.terms:
+            total += term.coefficient * pauli_matrix(term.string)
+    if not np.isfinite(total).all():
+        raise ValueError("the Hamiltonian's matrix has an entry past the float range")
     return total
 
 
@@ -221,9 +225,16 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
     t = _as_real(t, "t")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    deviation = np.linalg.norm(m - m.conj().T)
-    if deviation > 1e-10 * max(1.0, np.linalg.norm(m)):
-        raise ValueError(f"matrix is not Hermitian (deviation {deviation:.3e})")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
+    # divided by a power of two, which is exact, where an entry reaches 2^500
+    # and the norms below could overflow
+    peak = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
+    scale = 2.0 ** max(0, math.frexp(peak)[1] - 500)
+    scaled = m / scale if scale > 1 else m
+    deviation = float(np.linalg.norm(scaled - scaled.conj().T))
+    if deviation > 1e-10 * max(1.0 / scale, np.linalg.norm(scaled)):
+        raise ValueError(f"matrix is not Hermitian (deviation {deviation * scale:.3e})")
     w, v = np.linalg.eigh(m)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 

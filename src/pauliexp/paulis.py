@@ -162,6 +162,8 @@ class PauliTerm:
     string: PauliString
 
     def __post_init__(self) -> None:
+        if not isinstance(self.string, PauliString):
+            raise TypeError(f"string must be a PauliString, got {self.string!r}")
         coeff = _as_real(self.coefficient, "coefficient")
         if not math.isfinite(coeff):
             raise ValueError(f"coefficient must be finite, got {self.coefficient!r}")

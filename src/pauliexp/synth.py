@@ -39,6 +39,7 @@ from .circuit import (
     _as_int,
     _as_real,
     _cancel,
+    _finite_angle,
     _trusted_gate,
 )
 from .paulis import Hamiltonian, PauliString, PauliTerm, _bits
@@ -80,10 +81,7 @@ def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> Qua
         raise ValueError(f"support must be strictly ascending, got {support}")
     if support[0] < 0 or support[-1] >= n_qubits:
         raise ValueError(f"support {support} out of range for {n_qubits} qubits")
-    if theta is None or not math.isfinite(theta):
-        raise ValueError(f"rz needs a finite angle, got {theta!r}")
-
-    return QuantumCircuit(n_qubits, _ladder(support, theta))
+    return QuantumCircuit(n_qubits, _ladder(support, _finite_angle(RZ, theta)))
 
 
 def _ladder(support: tuple[int, ...], theta: float) -> list[Gate]:

@@ -1,5 +1,6 @@
 """CLI behavior: subcommand output, exit codes, file handling."""
 
+import itertools
 import tracemalloc
 from collections import Counter
 from random import Random
@@ -340,6 +341,36 @@ def test_angle_overflow_exits_1(capsys):
     rc = run_cli(["synth", "--ham", "1e300*Z0", "--n", "1", "--t", "1e300"])
     assert rc == 1
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [("--n", "٢"), ("--t", "٠.٥"), ("--reps", "٣"), ("--n", "1_0"), ("--t", "1_0.5")],
+)
+def test_numeric_options_take_ascii_without_underscores(option, text, capsys):
+    """int() and float() would take these; the Hamiltonian grammar would not."""
+    values = {"--n": "2", "--t": "0.5", "--reps": "1", option: text}
+    rc, out, err = _run(["trotter", "--ham", "1*Z0 Z1", *itertools.chain(*values.items())], capsys)
+    assert (rc, out) == (1, "")
+    assert f"argument {option}: must be ASCII with no '_', got {text!r}" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "ham, expected",
+    [
+        (
+            "1e308*Z0 + 1e308*Z0",
+            (1, "", "error: the Hamiltonian's matrix has an entry past the float range\n"),
+        ),
+        ("1e308*Z0", (0, "0.000000e+00 PASS\n", "")),
+    ],
+)
+def test_verify_exact_at_the_edge_of_the_float_range(ham, expected, capsys):
+    """A sum that overflows is an error, a large finite one verifies, and
+    neither prints a numpy warning."""
+    argv = ["verify", "--ham", ham, "--n", "1", "--t", "1e-300", "--exact"]
+    assert _run(argv, capsys) == expected
 
 
 def _commute(a, b) -> bool:

@@ -124,6 +124,14 @@ def test_circuit_unitary_rz_base_case():
     assert np.linalg.norm(got - np.diag([np.exp(-1j * t), np.exp(1j * t)])) <= 1e-15
 
 
+def test_circuit_unitary_of_a_float32_phase_equals_the_float_one():
+    phase = np.float32(0.1)
+    c = QuantumCircuit(1, (Gate.h(0),), phase)
+    assert type(c.global_phase) is float
+    same = QuantumCircuit(1, (Gate.h(0),), float(phase))
+    assert np.array_equal(circuit_unitary(c), circuit_unitary(same))
+
+
 def test_circuit_unitary_applies_global_phase():
     c = QuantumCircuit(1, (), global_phase=0.75)
     assert np.linalg.norm(circuit_unitary(c) - np.exp(0.75j) * I2) <= 1e-15

@@ -333,9 +333,44 @@ def test_evolution_params_rejects_complex_and_text_t(bad):
         ),
         (lambda: matrix_exponential(np.eye(2), float("inf")), ValueError, "finite, got inf"),
         (lambda: matrix_exponential(np.eye(2), 1j), TypeError, "real number, got 1j"),
+        (lambda: matrix_exponential(np.array([[np.nan]]), 1.0), ValueError, "non-finite entry"),
+        (
+            lambda: matrix_exponential(np.array([[0, 1e308], [-1e308, 0]]), 1e-300),
+            ValueError,
+            "not Hermitian",
+        ),
+        (
+            lambda: hamiltonian_matrix(Hamiltonian(1, (term("Z", 1e308), term("Z", 1e308)))),
+            ValueError,
+            "past the float range",
+        ),
+        (lambda: Gate.rz(0, "0.5"), TypeError, "rz angle must be a real number, got '0.5'"),
+        (lambda: Gate.rx(0, 1j), TypeError, "rx angle must be a real number, got 1j"),
+        (lambda: synth_z_rotation(2, [0, 1], 1j), TypeError, "rz angle must be a real number"),
+        (lambda: QuantumCircuit(1, (), "0.5"), TypeError, "global_phase must be a real number"),
+        (lambda: QuantumCircuit(1, (), None), TypeError, "global_phase must be a real number"),
+        (lambda: EvolutionParams([0.5]), TypeError, r"t must be a real number, got \[0.5\]"),
+        (lambda: PauliTerm(1.0, "XZ"), TypeError, "string must be a PauliString, got 'XZ'"),
     ],
-    ids=["hamiltonian-terms", "circuit-gates", "trotter-params", "expm-t", "expm-complex-t"],
+    ids=[
+        "hamiltonian-terms",
+        "circuit-gates",
+        "trotter-params",
+        "expm-t",
+        "expm-complex-t",
+        "expm-nan",
+        "expm-huge-anti-hermitian",
+        "hamiltonian-matrix-overflow",
+        "rz-text-angle",
+        "rx-complex-angle",
+        "ladder-complex-angle",
+        "circuit-text-phase",
+        "circuit-none-phase",
+        "params-list-t",
+        "term-text-string",
+    ],
 )
+@pytest.mark.filterwarnings("error")  # and no numpy warning on the way
 def test_wrong_argument_types_and_infinite_t_are_named(build, error, fragment):
     with pytest.raises(error, match=fragment):
         build()
