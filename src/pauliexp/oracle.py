@@ -7,19 +7,22 @@ state index), and the canonical target of a synthesis is exp(-i*t*P).
 Matrices stay small by construction: Pauli matrices and circuit evaluation
 cap at ``MAX_DENSE_QUBITS`` and the Hermitian exponential at
 ``MAX_EXPM_QUBITS``. These are desk-scale verification tools, not a
-simulator. The loops run over column blocks: the circuit unitary is built
-one block at a time, ``verify`` regenerates the per-term reference one
-block at a time instead of holding it whole, and the distance sums both its
-phase-fixing overlap and its squared norm block by block. Each gate's
-kernel takes its views of the block once per ``circuit_unitary``, each
-term's rotation is set up once per ``verify``, and both run on every block.
+simulator. The loops run over column blocks of the identity, each run
+through a circuit's gates. ``circuit_unitary`` copies the blocks into U.
+Per-term ``verify`` holds no d x d matrix: it runs each block on through
+the inverse per-term rotations, which makes it a block of W = R†U, keeps
+W's diagonal and sums the squared norm of the rest, all in one pass, so a
+verify process stays near numpy's own floor, about 32 MiB even at n=12.
+Each gate's kernel takes its views of the block once per pass, each term's
+rotation is set up once per ``verify``, and both run on every block
+without allocating.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -94,30 +97,28 @@ def exp_pauli_closed_form(p: PauliString, t: float) -> np.ndarray:
     return math.cos(t) * np.eye(dim, dtype=complex) - 1j * math.sin(t) * pauli_matrix(p)
 
 
-def _rotation(p: PauliString, t: float) -> Callable[[np.ndarray], None]:
+def _rotation(p: PauliString, t: float) -> Callable[[np.ndarray, np.ndarray], None]:
     """The in-place update u <- exp(-i*t*P) @ u of a block u with 2^n rows,
-    set up once for any number of blocks.
+    set up once for any number of blocks. ``gathered``, an array of u's
+    shape, is its scratch, so no call allocates.
 
     P sends basis state src to src ^ flip with factor phase[src]
-    (:func:`_signed_permutation`), so rows lo and hi = lo ^ flip only feed
-    each other. Each element gets the same operations, in the same operand
-    order, as ``cos(t)*u - (1j*sin(t))*(phase[src][:, None]*u[src])``, src
-    = rows ^ flip, the value of ``exp_pauli_closed_form(p, t) @ u``.
+    (:func:`_signed_permutation`). Each element gets the operations, in the
+    operand order, of ``cos(t)*u - (1j*sin(t))*(phase[src][:, None]*u[src])``,
+    src = rows ^ flip, the value of ``exp_pauli_closed_form(p, t) @ u``.
     """
     flip, phase = _signed_permutation(p)
-    rows = np.arange(len(phase))
-    # one row of each pair, the one whose highest flipped bit is clear
-    # (every row when flip is 0)
-    lo = rows[rows & (1 << flip.bit_length() >> 1) == 0]
-    hi = lo ^ flip
-    lo_phase, hi_phase = phase[hi, None], phase[lo, None]
+    src = np.arange(len(phase)) ^ flip
+    src_phase = phase[src, None]
     cos, isin = math.cos(t), 1j * math.sin(t)
 
-    def rotate(u: np.ndarray) -> None:
-        a, b = u[lo], u[hi]
-        u[lo] = cos * a - isin * (lo_phase * b)
-        if flip:
-            u[hi] = cos * b - isin * (hi_phase * a)
+    def rotate(u: np.ndarray, gathered: np.ndarray) -> None:
+        # "clip" never fires on these indices; unlike "raise" it writes out unbuffered
+        np.take(u, src, axis=0, out=gathered, mode="clip")
+        np.multiply(src_phase, gathered, out=gathered)
+        np.multiply(isin, gathered, out=gathered)
+        np.multiply(cos, u, out=u)
+        np.subtract(u, gathered, out=u)
 
     return rotate
 
@@ -167,17 +168,16 @@ def _kernel(
     return multiply
 
 
-def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
-    """Multiply out the circuit's gates in application order, phase included.
+def _unitary_blocks(c: QuantumCircuit) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, block, scratch) for each block of ``circuit_unitary(c)``'s
+    columns, start.. in order, phase included. The block is one array,
+    reused, and scratch an array of its shape free until the next block.
 
-    The gates run on column blocks of the identity, so besides the result
-    only block-sized arrays are live; a column's values do not depend on
-    the block it is computed in.
+    The gates run on column blocks of the identity; a column's values do not
+    depend on the block it is computed in.
     """
-    _check_qubit_cap(c.n_qubits)
     n = c.n_qubits
     dim = 2**n
-    u = np.empty((dim, dim), dtype=complex)
     width = min(dim, _BLOCK_ELEMENTS // dim)
     tensor, gathered, product = (np.empty((2,) * n + (width,), dtype=complex) for _ in range(3))
     block = tensor.reshape(dim, width)
@@ -188,25 +188,41 @@ def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
         block[start + columns, columns] = 1  # columns start.. of the identity
         for kernel in kernels:
             kernel()
-        u[:, start : start + width] = block
-    if c.global_phase != 0.0:
-        # scalar first, as in exp(i*phase) * u: the operand order fixes the bits
-        np.multiply(np.exp(1j * c.global_phase), u, out=u)
+        if c.global_phase != 0.0:
+            # scalar first, as in exp(i*phase) * u: the operand order fixes the bits
+            np.multiply(np.exp(1j * c.global_phase), block, out=block)
+        yield start, block, gathered.reshape(dim, width)
+
+
+def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
+    """Multiply out the circuit's gates in application order, phase included.
+    Besides the result only block-sized arrays are live."""
+    _check_qubit_cap(c.n_qubits)
+    dim = 2**c.n_qubits
+    u = np.empty((dim, dim), dtype=complex)
+    for start, block, _ in _unitary_blocks(c):
+        u[:, start : start + block.shape[1]] = block
     return u
 
 
 def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     """Sum of coefficient * pauli_matrix(string); Hermitian by construction.
-    A sum past the float range raises ValueError."""
+    A matrix past the float range raises ValueError, whatever the order of
+    the terms that sum to it."""
     _check_qubit_cap(h.n_qubits)
     dim = 2**h.n_qubits
-    total = np.zeros((dim, dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for term in h.terms:
-            total += term.coefficient * pauli_matrix(term.string)
-    if not np.isfinite(total).all():
-        raise ValueError("the Hamiltonian's matrix has an entry past the float range")
-    return total
+        # where a partial sum overflows, sum again with the coefficients
+        # divided by a power of two above the term count, so that only the
+        # product back can overflow; both steps are exact on normal floats
+        for scale in (1.0, 2.0 ** len(h.terms).bit_length()):
+            total = np.zeros((dim, dim), dtype=complex)
+            for term in h.terms:
+                total += term.coefficient / scale * pauli_matrix(term.string)
+            total *= scale
+            if np.isfinite(total).all():
+                return total
+    raise ValueError("the Hamiltonian's matrix has an entry past the float range")
 
 
 def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
@@ -239,54 +255,27 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
-def _per_term_columns(rotations: list[Callable], dim: int, start: int, stop: int) -> np.ndarray:
-    """Columns start:stop of the per-term reference: the identity's columns
-    run through the ``rotations`` (:func:`_rotation`), first one first.
+def _per_term_distance(c: QuantumCircuit, h: Hamiltonian, t: float) -> float:
+    """phase_invariant_distance(circuit_unitary(c), R) for R the per-term
+    reference of h at t, with neither matrix built.
 
-    A rotation computes every element the same way whatever the number of
-    columns, so a block equals the matching columns of the whole product
-    bit for bit.
+    R is unitary, so ||U - exp(i*phi)*R|| = ||W - exp(i*phi)*I|| for W =
+    R†U, least at phi = arg(trace(W)). Each block of U runs through the
+    terms' inverse rotations, last term first, and becomes a block of W;
+    the pass keeps W's diagonal and sums the squared norm of the rest.
     """
-    block = np.zeros((dim, stop - start), dtype=complex)
-    block[np.arange(start, stop), np.arange(stop - start)] = 1
-    for rotate in rotations:
-        rotate(block)
-    return block
-
-
-def _column_distance(a: np.ndarray, b_columns: Callable[[int, int], np.ndarray]) -> float:
-    """phase_invariant_distance of a 2-D a and the matrix b of a's shape
-    whose columns start:stop ``b_columns(start, stop)`` returns.
-
-    Each block of b is asked for twice, once per pass: the first sums the
-    overlap vdot(b, a) block by block, in column order, to fix the phase;
-    the second sums the squared norm of the difference. A block holds half
-    of ``_BLOCK_ELEMENTS`` elements, because a block of each side, the
-    scaled one and the difference are live at once. Blocks of a are
-    contiguous copies, like the blocks b_columns returns, so the arithmetic
-    sees the same memory layout, and rounds alike, whichever way b's
-    columns were made.
-    """
-    rows, cols = a.shape
-    width = max(1, _BLOCK_ELEMENTS // 2 // max(1, rows))
-    blocks = [(start, min(start + width, cols)) for start in range(0, cols, width)]
-    overlap = 0j
-    for start, stop in blocks:
-        overlap += np.vdot(b_columns(start, stop), np.ascontiguousarray(a[:, start:stop]))
-    w = np.exp(1j * np.angle(overlap))
-    total = 0.0
-    for start, stop in blocks:
-        diff = np.ascontiguousarray(a[:, start:stop]) - w * b_columns(start, stop)
-        total += np.vdot(diff, diff).real
-    return math.sqrt(total)
-
-
-def _per_term_distance(u: np.ndarray, h: Hamiltonian, t: float) -> float:
-    """phase_invariant_distance(u, R), bit for bit, for R the per-term
-    reference of h at t, which is regenerated by column blocks and never
-    built whole. Each term's rotation is set up once, for all blocks."""
-    rotations = [_rotation(term.string, t * term.coefficient) for term in h.terms]
-    return _column_distance(u, partial(_per_term_columns, rotations, len(u)))
+    inverses = [_rotation(term.string, -t * term.coefficient) for term in reversed(h.terms)]
+    diagonal = np.empty(2**c.n_qubits, dtype=complex)
+    off = 0.0
+    for start, block, scratch in _unitary_blocks(c):
+        for rotate in inverses:
+            rotate(block, scratch)
+        columns = np.arange(block.shape[1])
+        diagonal[start + columns] = block[start + columns, columns]
+        block[start + columns, columns] = 0
+        off += np.vdot(block, block).real
+    diff = diagonal - np.exp(1j * np.angle(diagonal.sum()))
+    return math.sqrt(off + np.vdot(diff, diff).real)
 
 
 def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -297,13 +286,22 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     there instead of expanding ||a||^2 + ||b||^2 - 2|trace| keeps full
     precision near zero, where the expanded form cancels catastrophically.
     Both the overlap and the squared norm of the difference are summed over
-    column blocks (a 1-D input is one row), so no temporary larger than a
-    block is made.
+    column blocks (a 1-D input is one row), each a contiguous copy of half
+    of ``_BLOCK_ELEMENTS`` elements, so no temporary larger than a block is
+    made.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    shape = (len(a), math.prod(a.shape[1:])) if a.ndim > 1 else (1, a.size)
-    b = b.reshape(shape)
-    return _column_distance(
-        a.reshape(shape), lambda start, stop: np.ascontiguousarray(b[:, start:stop])
-    )
+    rows, cols = (len(a), math.prod(a.shape[1:])) if a.ndim > 1 else (1, a.size)
+    a, b = a.reshape(rows, cols), b.reshape(rows, cols)
+    width = max(1, _BLOCK_ELEMENTS // 2 // max(1, rows))
+    blocks = [slice(start, start + width) for start in range(0, cols, width)]
+    overlap = 0j
+    for part in blocks:
+        overlap += np.vdot(np.ascontiguousarray(b[:, part]), np.ascontiguousarray(a[:, part]))
+    w = np.exp(1j * np.angle(overlap))
+    total = 0.0
+    for part in blocks:
+        diff = np.ascontiguousarray(a[:, part]) - w * np.ascontiguousarray(b[:, part])
+        total += np.vdot(diff, diff).real
+    return math.sqrt(total)

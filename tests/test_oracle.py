@@ -182,6 +182,26 @@ def test_hamiltonian_matrix_no_terms_is_zero():
     assert np.array_equal(hamiltonian_matrix(Hamiltonian(2)), np.zeros((4, 4)))
 
 
+@pytest.mark.filterwarnings("error")
+def test_hamiltonian_matrix_fits_whatever_its_partial_sums():
+    def matrix(*weights):
+        terms = (PauliTerm(w, PauliString.from_label(s)) for w, s in weights)
+        return hamiltonian_matrix(Hamiltonian(2, tuple(terms)))
+
+    big = 1e308
+    # the first two terms overflow, the third brings the sum back
+    got = matrix((big, "ZI"), (big, "ZI"), (-big, "ZI"), (1e-300, "IX"))
+    assert np.array_equal(got, np.kron(Z, I2) * big + np.kron(I2, X) * 1e-300)
+    # accepted by the left-to-right sum already: its bits, tiny weights too
+    weights = ((big, "ZI"), (-big, "ZI"), (big, "ZZ"), (3e-310, "XI"), (0.1, "YY"))
+    expected = np.zeros((4, 4), dtype=complex)
+    for w, s in weights:
+        expected += w * pauli_matrix(PauliString.from_label(s))
+    assert np.array_equal(matrix(*weights), expected)
+    with pytest.raises(ValueError, match="past the float range"):
+        matrix((big, "ZI"), (big, "ZZ"))
+
+
 def test_matrix_exponential_at_zero():
     m = hamiltonian_matrix(
         Hamiltonian(2, (PauliTerm(1.3, PauliString.from_label("XY")),))
@@ -264,13 +284,13 @@ def test_rotation_matches_closed_form_product():
         shape = (2**p.n_qubits, rng.randint(1, 2**p.n_qubits))
         u = gen.normal(size=shape) + 1j * gen.normal(size=shape)
         expected = exp_pauli_closed_form(p, t) @ u
-        _rotation(p, t)(u)
+        _rotation(p, t)(u, np.empty_like(u))
         assert np.abs(u - expected).max() <= 1e-14, label
 
 
 def test_rotation_updates_u_in_place():
     u = np.eye(4, dtype=complex)
-    assert _rotation(PauliString.from_label("XY"), 0.3)(u) is None
+    assert _rotation(PauliString.from_label("XY"), 0.3)(u, np.empty_like(u)) is None
     assert np.array_equal(u, exp_pauli_closed_form(PauliString.from_label("XY"), 0.3))
 
 

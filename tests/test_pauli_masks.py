@@ -135,7 +135,7 @@ def test_rotation_equals_the_dense_ops_build(label):
     u = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
     for t in (0.37, -2.1):
         got = u.copy()
-        _rotation(p, t)(got)
+        _rotation(p, t)(got, np.empty_like(got))
         assert np.array_equal(got, reference_apply_exp_pauli(p, t, u.copy()))
 
 

@@ -1,5 +1,7 @@
-"""The per-term verify reference, regenerated by column blocks, against the
-whole matrix; and the blocked distance against a whole-array evaluation.
+"""The per-term verify distance, streamed over column blocks of R^dag U,
+against its whole-matrix formula, against the CLI's output and against the
+whole-product distance it replaces, on correct and on broken circuits; and
+the blocked phase-invariant distance against a whole-array evaluation.
 
 A case is a Hamiltonian of 1-5 terms on 1-10 qubits, commuting (Z and I
 factors only) or not, with Id terms mixed in, plus a synthesis variant and
@@ -16,18 +18,21 @@ import pytest
 
 from pauliexp import (
     EvolutionParams,
+    Gate,
     Hamiltonian,
     PauliString,
     PauliTerm,
+    QuantumCircuit,
     SynthVariant,
-    circuit_unitary,
     format_hamiltonian,
+    parse_hamiltonian,
     phase_invariant_distance,
     trotter_circuit,
 )
+from pauliexp.circuit import CX, RZ, SDG, S
 from pauliexp.cli import VERIFY_THRESHOLD, run_cli
-from pauliexp.oracle import _BLOCK_ELEMENTS, _per_term_columns, _rotation
-from helpers import label_of, reference_per_term_product
+from pauliexp.oracle import _BLOCK_ELEMENTS, _per_term_distance
+from helpers import label_of, reference_per_term_distance, whole_product_distance
 
 try:
     from hypothesis import example, given, settings
@@ -108,30 +113,93 @@ def for_cases(examples: int):
 
 
 @for_cases(examples=60)
-def test_reference_blocks_equal_the_whole_product(case):
-    h, _, t = case
-    whole = reference_per_term_product(h, t)
-    d = len(whole)
-    rotations = [_rotation(term.string, t * term.coefficient) for term in h.terms]
-    width = max(1, _BLOCK_ELEMENTS // 2 // d)  # the distance's partition
-    uneven = sorted({0, 1, d // 3, d // 2 + 1, d})
-    for bounds in (list(range(0, d, width)) + [d], uneven):
-        for start, stop in zip(bounds, bounds[1:]):
-            block = _per_term_columns(rotations, d, start, stop)
-            assert np.array_equal(block, whole[:, start:stop])
+def test_streamed_distance_equals_its_whole_matrix_formula(case):
+    h, variant, t = case
+    c = trotter_circuit(h, EvolutionParams(t), variant)
+    got, want = _per_term_distance(c, h, t), reference_per_term_distance(c, h, t)
+    if 4**h.n_qubits <= _BLOCK_ELEMENTS:
+        # one block: the same arithmetic on the same arrays
+        assert got == want
+    else:
+        # W's columns are the same bits, but the off-diagonal squared norm
+        # is summed block by block: a sum of at most 2^20 non-negative terms
+        # in another order moves by at most 2^20 * 2^-53 of itself
+        assert abs(got - want) <= 1e-10 * want
 
 
 @for_cases(examples=20)
-def test_verify_prints_the_distance_to_the_whole_product(case):
+def test_verify_prints_the_streamed_distance(case):
     h, variant, t = case
     argv = ["verify", f"--ham={format_hamiltonian(h)}", "--n", str(h.n_qubits), "--t", repr(t)]
     with redirect_stdout(io.StringIO()) as out:
         rc = run_cli([*argv, "--variant", variant.value])
-    unitary = circuit_unitary(trotter_circuit(h, EvolutionParams(t), variant))
-    distance = phase_invariant_distance(unitary, reference_per_term_product(h, t))
+    distance = _per_term_distance(trotter_circuit(h, EvolutionParams(t), variant), h, t)
     verdict = "PASS" if distance <= VERIFY_THRESHOLD else "FAIL"
     assert out.getvalue() == f"{distance:.6e} {verdict}\n", argv
     assert rc == (0 if verdict == "PASS" else 2)
+
+
+def _verdict(distance: float) -> str:
+    return "PASS" if distance <= VERIFY_THRESHOLD else "FAIL"
+
+
+@for_cases(examples=20)
+def test_streamed_verdict_equals_the_whole_product_verdict(case):
+    h, _, t = case
+    for variant in SynthVariant:
+        c = trotter_circuit(h, EvolutionParams(t), variant)
+        new, old = _per_term_distance(c, h, t), whole_product_distance(c, h, t)
+        assert _verdict(new) == _verdict(old) == "PASS"
+        # the two formulas are equal in exact arithmetic; their roundings
+        # differ by a few units of 1e-14 at n <= 10, far below the threshold
+        assert abs(new - old) <= 1e-12
+
+
+def _flip_first_rz(c: QuantumCircuit) -> tuple[Gate, ...]:
+    k = next(k for k, g in enumerate(c.gates) if g.kind == RZ)
+    g = c.gates[k]
+    return c.gates[:k] + (Gate.rz(g.qubits[0], -g.angle),) + c.gates[k + 1 :]
+
+
+def _drop_first_cx(c: QuantumCircuit) -> tuple[Gate, ...]:
+    k = next(k for k, g in enumerate(c.gates) if g.kind == CX)
+    return c.gates[:k] + c.gates[k + 1 :]
+
+
+def _swap_wraps(c: QuantumCircuit) -> tuple[Gate, ...]:
+    # a Y factor's basis change before the ladder trades places with the
+    # one after it (S for Sdg and back), which turns Y into -Y
+    traded = {S: SDG, SDG: S}
+    return tuple(Gate(traded.get(g.kind, g.kind), g.qubits, g.angle) for g in c.gates)
+
+
+def _reverse_terms(h: Hamiltonian, t: float, variant: SynthVariant) -> tuple[Gate, ...]:
+    backwards = Hamiltonian(h.n_qubits, h.terms[::-1])
+    return trotter_circuit(backwards, EvolutionParams(t), variant).gates
+
+
+MUTATIONS = {
+    "flipped-rz": lambda c, h, t, v: _flip_first_rz(c),
+    "dropped-cx": lambda c, h, t, v: _drop_first_cx(c),
+    "swapped-wrap": lambda c, h, t, v: _swap_wraps(c),
+    "reversed-terms": lambda c, h, t, v: _reverse_terms(h, t, v),
+}
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+@pytest.mark.parametrize("variant", list(SynthVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("n", [3, 8])
+def test_broken_circuits_fail_both_distances(n, variant, mutation):
+    # two terms that anticommute on qubit 0 and share a Y on qubit 1
+    first = "X0 Y1 " + " ".join(f"Z{k}" for k in range(2, n))
+    h = parse_hamiltonian(f"0.7*{first} + 0.5*Z0 Y1", n)
+    t = 0.9
+    c = trotter_circuit(h, EvolutionParams(t), variant)
+    assert _verdict(_per_term_distance(c, h, t)) == "PASS"
+    broken = QuantumCircuit(n, MUTATIONS[mutation](c, h, t, variant), c.global_phase)
+    assert broken.gates != c.gates
+    assert _verdict(_per_term_distance(broken, h, t)) == "FAIL"
+    assert _verdict(whole_product_distance(broken, h, t)) == "FAIL"
 
 
 def _whole_array_distance(a: np.ndarray, b: np.ndarray) -> float:
