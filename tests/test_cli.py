@@ -405,10 +405,10 @@ def _verify_jobs():
 def test_verify_output_is_replayable_from_public_oracle_calls(capsys):
     # bench/spans.py replays verify through these public calls, with the
     # per-term reference as dense closed-form products. It must print the
-    # CLI's --exact output byte for byte. The per-term distance is now
-    # computed as ||R^dag U - exp(i*phi) I|| in one streamed pass, equal to
-    # the replay's ||U - exp(i*phi) R|| in exact arithmetic, so there the
-    # verdict must match and the distance agree to rounding.
+    # CLI's --exact output byte for byte. The CLI's per-term distance,
+    # ||R^dag U - exp(i*phi) I|| in one streamed pass, equals the replay's
+    # ||U - exp(i*phi) R|| in exact arithmetic only, so there the verdict
+    # must match and the distance agree to rounding.
     verdicts = set()
     for n, variant, exact, h, t in _verify_jobs():
         argv = ["verify", "--ham", format_hamiltonian(h), "--n", str(n), "--t", repr(t)]

@@ -127,6 +127,10 @@ def test_streamed_distance_equals_its_whole_matrix_formula(case):
         assert abs(got - want) <= 1e-10 * want
 
 
+def _verdict(distance: float) -> str:
+    return "PASS" if distance <= VERIFY_THRESHOLD else "FAIL"
+
+
 @for_cases(examples=20)
 def test_verify_prints_the_streamed_distance(case):
     h, variant, t = case
@@ -134,13 +138,8 @@ def test_verify_prints_the_streamed_distance(case):
     with redirect_stdout(io.StringIO()) as out:
         rc = run_cli([*argv, "--variant", variant.value])
     distance = _per_term_distance(trotter_circuit(h, EvolutionParams(t), variant), h, t)
-    verdict = "PASS" if distance <= VERIFY_THRESHOLD else "FAIL"
-    assert out.getvalue() == f"{distance:.6e} {verdict}\n", argv
-    assert rc == (0 if verdict == "PASS" else 2)
-
-
-def _verdict(distance: float) -> str:
-    return "PASS" if distance <= VERIFY_THRESHOLD else "FAIL"
+    assert out.getvalue() == f"{distance:.6e} {_verdict(distance)}\n", argv
+    assert rc == (0 if _verdict(distance) == "PASS" else 2)
 
 
 @for_cases(examples=20)
