@@ -8,21 +8,19 @@ Matrices stay small by construction: Pauli matrices and circuit evaluation
 cap at ``MAX_DENSE_QUBITS`` and the Hermitian exponential at
 ``MAX_EXPM_QUBITS``. These are desk-scale verification tools, not a
 simulator. The loops run over column blocks of the identity, each run
-through a circuit's gates. ``circuit_unitary`` copies the blocks into U.
-Per-term ``verify`` holds no d x d matrix: it runs each block on through
-the inverse per-term rotations, which makes it a block of W = R†U, keeps
-W's diagonal and sums the squared norm of the rest, all in one pass, so a
-verify process stays near numpy's own floor, about 32 MiB even at n=12.
-Each gate's kernel takes its views of the block once per pass, each term's
-rotation is set up once per ``verify``, and both run on every block
-without allocating.
+through a circuit's gates: ``circuit_unitary`` copies the blocks into U,
+and per-term ``verify`` makes them, and the same columns of the per-term
+product R, once for each pass of its distance, so it holds no d x d matrix
+and stays near numpy's own floor, about 32 MiB even at n=12. Each gate's
+kernel takes its views once per pass, each term's rotation is set up once
+per ``verify``, and both run on every block without allocating.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -170,22 +168,18 @@ def _kernel(
 
 def _unitary_blocks(c: QuantumCircuit) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(start, block, scratch) for each block of ``circuit_unitary(c)``'s
-    columns, start.. in order, phase included. The block is one array,
-    reused, and scratch an array of its shape free until the next block.
-
-    The gates run on column blocks of the identity; a column's values do not
-    depend on the block it is computed in.
-    """
+    columns, start.. in order, phase included: one array, reused, whose
+    column values do not depend on the block they are computed in; scratch
+    is an array of its shape, free until the next block."""
     n = c.n_qubits
     dim = 2**n
-    width = min(dim, _BLOCK_ELEMENTS // dim)
+    width = min(dim, _BLOCK_ELEMENTS // 2 // dim)  # a part of :func:`_distance`
     tensor, gathered, product = (np.empty((2,) * n + (width,), dtype=complex) for _ in range(3))
     block = tensor.reshape(dim, width)
     kernels = [_kernel(gate, tensor, gathered, product) for gate in c.gates]
-    columns = np.arange(width)
     for start in range(0, dim, width):
         block.fill(0)
-        block[start + columns, columns] = 1  # columns start.. of the identity
+        np.fill_diagonal(block[start:], 1)  # columns start.. of the identity
         for kernel in kernels:
             kernel()
         if c.global_phase != 0.0:
@@ -256,26 +250,47 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
 
 
 def _per_term_distance(c: QuantumCircuit, h: Hamiltonian, t: float) -> float:
-    """phase_invariant_distance(circuit_unitary(c), R) for R the per-term
-    reference of h at t, with neither matrix built.
+    """phase_invariant_distance(circuit_unitary(c), R), bit for bit, for R the
+    per-term reference of h at t, with neither matrix built: each pass makes
+    a block of U and the same columns of R, term by term, first term first."""
+    rotations = [_rotation(term.string, t * term.coefficient) for term in h.terms]
 
-    R is unitary, so ||U - exp(i*phi)*R|| = ||W - exp(i*phi)*I|| for W =
-    R†U, least at phi = arg(trace(W)). Each block of U runs through the
-    terms' inverse rotations, last term first, and becomes a block of W;
-    the pass keeps W's diagonal and sums the squared norm of the rest.
-    """
-    inverses = [_rotation(term.string, -t * term.coefficient) for term in reversed(h.terms)]
-    diagonal = np.empty(2**c.n_qubits, dtype=complex)
-    off = 0.0
-    for start, block, scratch in _unitary_blocks(c):
-        for rotate in inverses:
-            rotate(block, scratch)
-        columns = np.arange(block.shape[1])
-        diagonal[start + columns] = block[start + columns, columns]
-        block[start + columns, columns] = 0
-        off += np.vdot(block, block).real
-    diff = diagonal - np.exp(1j * np.angle(diagonal.sum()))
-    return math.sqrt(off + np.vdot(diff, diff).real)
+    def pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        reference = None
+        for start, block, scratch in _unitary_blocks(c):
+            reference = np.empty_like(block) if reference is None else reference
+            reference.fill(0)
+            np.fill_diagonal(reference[start:], 1)
+            for rotate in rotations:
+                rotate(reference, scratch)
+            yield block, reference
+
+    return _distance(pairs)
+
+
+def _distance(pairs: Callable[[], Iterable[tuple[np.ndarray, np.ndarray]]]) -> float:
+    """min over phi of ||a - exp(i*phi)*b||, for 2-D a and b as the matching
+    column blocks that ``pairs()`` yields afresh for each pass: the overlap
+    vdot(b, a), which fixes phi, then the squared norm of the difference,
+    each summed over contiguous parts of half of ``_BLOCK_ELEMENTS`` elements
+    that depend on the row count only, so whole-part blocks keep the bits."""
+
+    def parts() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for a, b in pairs():
+            width = max(1, _BLOCK_ELEMENTS // 2 // max(1, len(a)))
+            for start in range(0, a.shape[1], width):
+                part = slice(start, start + width)
+                yield np.ascontiguousarray(a[:, part]), np.ascontiguousarray(b[:, part])
+
+    overlap = 0j
+    for a, b in parts():
+        overlap += np.vdot(b, a)
+    w = np.exp(1j * np.angle(overlap))
+    total = 0.0
+    for a, b in parts():
+        diff = a - w * b
+        total += np.vdot(diff, diff).real
+    return math.sqrt(total)
 
 
 def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -285,23 +300,10 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     at phi = arg(trace(b^dag a)) = arg(vdot(b, a)); evaluating the difference
     there instead of expanding ||a||^2 + ||b||^2 - 2|trace| keeps full
     precision near zero, where the expanded form cancels catastrophically.
-    Both the overlap and the squared norm of the difference are summed over
-    column blocks (a 1-D input is one row), each a contiguous copy of half
-    of ``_BLOCK_ELEMENTS`` elements, so no temporary larger than a block is
-    made.
+    The sums run over column blocks (a 1-D input is one row), as
+    :func:`_distance` says, so no temporary larger than a block is made.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     rows, cols = (len(a), math.prod(a.shape[1:])) if a.ndim > 1 else (1, a.size)
-    a, b = a.reshape(rows, cols), b.reshape(rows, cols)
-    width = max(1, _BLOCK_ELEMENTS // 2 // max(1, rows))
-    blocks = [slice(start, start + width) for start in range(0, cols, width)]
-    overlap = 0j
-    for part in blocks:
-        overlap += np.vdot(np.ascontiguousarray(b[:, part]), np.ascontiguousarray(a[:, part]))
-    w = np.exp(1j * np.angle(overlap))
-    total = 0.0
-    for part in blocks:
-        diff = np.ascontiguousarray(a[:, part]) - w * np.ascontiguousarray(b[:, part])
-        total += np.vdot(diff, diff).real
-    return math.sqrt(total)
+    return _distance(lambda: [(a.reshape(rows, cols), b.reshape(rows, cols))])

@@ -198,34 +198,20 @@ def reference_apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.nda
     return u
 
 
-def reference_per_term_product(h: Hamiltonian, t: float, u: np.ndarray | None = None) -> np.ndarray:
-    """The per-term verify reference built whole: the identity, or a copy of
-    u, run through :func:`reference_apply_exp_pauli` once per term, first
-    term first."""
-    u = np.eye(2**h.n_qubits, dtype=complex) if u is None else u.copy()
+def reference_per_term_product(h: Hamiltonian, t: float) -> np.ndarray:
+    """The per-term verify reference built whole, the test reference for the
+    column blocks verify regenerates: the identity run through
+    :func:`reference_apply_exp_pauli` once per term, first term first."""
+    u = np.eye(2**h.n_qubits, dtype=complex)
     for term in h.terms:
         reference_apply_exp_pauli(term.string, t * term.coefficient, u)
     return u
 
 
 def whole_product_distance(c: QuantumCircuit, h: Hamiltonian, t: float) -> float:
-    """The per-term verify distance as first written: the phase-invariant
+    """The per-term verify distance over whole matrices: the phase-invariant
     distance from the circuit's unitary to the whole per-term product R."""
     return phase_invariant_distance(circuit_unitary(c), reference_per_term_product(h, t))
-
-
-def reference_per_term_distance(c: QuantumCircuit, h: Hamiltonian, t: float) -> float:
-    """The per-term verify distance that the oracle streams, over whole
-    matrices: W = R^dag U, for U the circuit's unitary and R the per-term
-    product, is U run through the inverse terms (last term first, each
-    weight negated); then phi = arg(trace(W)) and the distance is
-    sqrt(||W off its diagonal||^2 + ||diag(W) - exp(i*phi)||^2)."""
-    inverse = tuple(PauliTerm(-term.coefficient, term.string) for term in reversed(h.terms))
-    w = reference_per_term_product(Hamiltonian(h.n_qubits, inverse), t, circuit_unitary(c))
-    diagonal = w.diagonal().copy()
-    np.fill_diagonal(w, 0)
-    diff = diagonal - np.exp(1j * np.angle(diagonal.sum()))
-    return math.sqrt(np.vdot(w, w).real + np.vdot(diff, diff).real)
 
 
 def reference_exp_pauli_term(term: PauliTerm, t: float, variant) -> QuantumCircuit:
