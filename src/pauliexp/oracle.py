@@ -29,8 +29,8 @@ from .paulis import Hamiltonian, PauliString, _bits
 
 MAX_DENSE_QUBITS = 12
 MAX_EXPM_QUBITS = 8
-# elements in one block of the blocked loops below (1 MiB of complex128)
-_BLOCK_ELEMENTS = 2**16
+# elements in one block of the blocked loops below (512 KiB of complex128)
+_BLOCK_ELEMENTS = 2**15
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) * (1 / math.sqrt(2))
 
@@ -173,7 +173,7 @@ def _unitary_blocks(c: QuantumCircuit) -> Iterator[tuple[int, np.ndarray, np.nda
     is an array of its shape, free until the next block."""
     n = c.n_qubits
     dim = 2**n
-    width = min(dim, _BLOCK_ELEMENTS // 2 // dim)  # a part of :func:`_distance`
+    width = min(dim, _BLOCK_ELEMENTS // dim)  # a part of :func:`_distance`
     tensor, gathered, product = (np.empty((2,) * n + (width,), dtype=complex) for _ in range(3))
     block = tensor.reshape(dim, width)
     kernels = [_kernel(gate, tensor, gathered, product) for gate in c.gates]
@@ -272,12 +272,12 @@ def _distance(pairs: Callable[[], Iterable[tuple[np.ndarray, np.ndarray]]]) -> f
     """min over phi of ||a - exp(i*phi)*b||, for 2-D a and b as the matching
     column blocks that ``pairs()`` yields afresh for each pass: the overlap
     vdot(b, a), which fixes phi, then the squared norm of the difference,
-    each summed over contiguous parts of half of ``_BLOCK_ELEMENTS`` elements
-    that depend on the row count only, so whole-part blocks keep the bits."""
+    each summed over contiguous parts of ``_BLOCK_ELEMENTS`` elements that
+    depend on the row count only, so whole-part blocks keep the bits."""
 
     def parts() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for a, b in pairs():
-            width = max(1, _BLOCK_ELEMENTS // 2 // max(1, len(a)))
+            width = max(1, _BLOCK_ELEMENTS // max(1, len(a)))
             for start in range(0, a.shape[1], width):
                 part = slice(start, start + width)
                 yield np.ascontiguousarray(a[:, part]), np.ascontiguousarray(b[:, part])
