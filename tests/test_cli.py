@@ -441,7 +441,7 @@ def test_per_term_verify_holds_no_dense_matrix_at_n10(capsys):
 
 
 def test_per_term_verify_sets_each_term_up_once(monkeypatch, capsys):
-    # at n=10 verify makes 16 column blocks of U and of the reference in each
+    # at n=10 verify makes 32 column blocks of U and of the reference in each
     # of its two distance passes; each term's signed permutation is still
     # built only once
     calls = []
