@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from pauliexp import (
+    EvolutionParams,
     Gate,
     PauliString,
     PauliTerm,
@@ -13,8 +14,11 @@ from pauliexp import (
     SynthVariant,
     emit_qasm,
     exp_pauli_term,
+    parse_hamiltonian,
+    trotter_circuit,
     validate_qasm,
 )
+from pauliexp.cli import run_cli
 from helpers import random_circuit
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -125,3 +129,19 @@ def test_golden_documents_byte_equality(name, label):
     expected = (GOLDEN_DIR / f"{name}.qasm").read_bytes()
     got = emit_qasm(golden_circuit(label)).encode()
     assert got == expected
+
+
+TROTTER_HAM = "0.5*Z0 Y1 X3 + 0.3*X0 Z2 Y3 - 0.2*Id"
+
+
+@pytest.mark.parametrize("variant", list(SynthVariant), ids=lambda v: v.value)
+def test_trotter_golden_documents_byte_equality(variant, capsys):
+    """Every layout pinned byte for byte on a product with X, Y and Z factors,
+    an identity phase and a replayed slice, in process and through the CLI."""
+    name = f"trotter_reps2_{variant.value.replace('-', '')}_t0p7.qasm"
+    expected = (GOLDEN_DIR / name).read_text()
+    h = parse_hamiltonian(TROTTER_HAM, 4)
+    assert emit_qasm(trotter_circuit(h, EvolutionParams(0.7, 2), variant)) == expected
+    argv = ["trotter", "--ham", TROTTER_HAM, "--n", "4", "--t", "0.7", "--reps", "2"]
+    assert run_cli([*argv, "--variant", variant.value]) == 0
+    assert capsys.readouterr().out == expected
