@@ -78,7 +78,7 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        qubits = tuple([q if type(q) is int else _as_int(q, "qubit index") for q in self.qubits])
+        qubits = tuple([_as_int(q, "qubit index") for q in self.qubits])
         if self.kind == CZ:
             qubits = tuple(sorted(qubits))
         object.__setattr__(self, "qubits", qubits)
@@ -169,18 +169,15 @@ class QuantumCircuit:
         for gate in self.gates:
             if not isinstance(gate, Gate):
                 raise TypeError(f"gates must be Gate values, got {gate!r}")
-            self._check_bounds(gate)
+            for q in gate.qubits:
+                if q >= self.n_qubits:
+                    raise ValueError(
+                        f"gate {gate!r} touches qubit {q}, circuit has {self.n_qubits}"
+                    )
         phase = _as_real(self.global_phase, "global_phase")
         if not math.isfinite(phase):
             raise ValueError("global_phase must be finite")
         object.__setattr__(self, "global_phase", phase)
-
-    def _check_bounds(self, gate: Gate) -> None:
-        for q in gate.qubits:
-            if q >= self.n_qubits:
-                raise ValueError(
-                    f"gate {gate!r} touches qubit {q}, circuit has {self.n_qubits}"
-                )
 
     def dagger(self) -> QuantumCircuit:
         """Circuit whose unitary is the conjugate transpose of this one's."""

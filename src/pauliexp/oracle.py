@@ -173,7 +173,7 @@ def _unitary_blocks(c: QuantumCircuit) -> Iterator[tuple[int, np.ndarray, np.nda
     is an array of its shape, free until the next block."""
     n = c.n_qubits
     dim = 2**n
-    width = min(dim, _BLOCK_ELEMENTS // dim)  # a part of :func:`_distance`
+    width = min(dim, _BLOCK_ELEMENTS // dim)  # each block is one part of :func:`_distance`
     tensor, gathered, product = (np.empty((2,) * n + (width,), dtype=complex) for _ in range(3))
     block = tensor.reshape(dim, width)
     kernels = [_kernel(gate, tensor, gathered, product) for gate in c.gates]
@@ -255,7 +255,7 @@ def _per_term_distance(c: QuantumCircuit, h: Hamiltonian, t: float) -> float:
     a block of U and the same columns of R, term by term, first term first."""
     rotations = [_rotation(term.string, t * term.coefficient) for term in h.terms]
 
-    def pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def parts() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         reference = None
         for start, block, scratch in _unitary_blocks(c):
             reference = np.empty_like(block) if reference is None else reference
@@ -265,23 +265,16 @@ def _per_term_distance(c: QuantumCircuit, h: Hamiltonian, t: float) -> float:
                 rotate(reference, scratch)
             yield block, reference
 
-    return _distance(pairs)
+    return _distance(parts)
 
 
-def _distance(pairs: Callable[[], Iterable[tuple[np.ndarray, np.ndarray]]]) -> float:
-    """min over phi of ||a - exp(i*phi)*b||, for 2-D a and b as the matching
-    column blocks that ``pairs()`` yields afresh for each pass: the overlap
-    vdot(b, a), which fixes phi, then the squared norm of the difference,
-    each summed over contiguous parts of ``_BLOCK_ELEMENTS`` elements that
-    depend on the row count only, so whole-part blocks keep the bits."""
-
-    def parts() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for a, b in pairs():
-            width = max(1, _BLOCK_ELEMENTS // max(1, len(a)))
-            for start in range(0, a.shape[1], width):
-                part = slice(start, start + width)
-                yield np.ascontiguousarray(a[:, part]), np.ascontiguousarray(b[:, part])
-
+def _distance(parts: Callable[[], Iterable[tuple[np.ndarray, np.ndarray]]]) -> float:
+    """min over phi of ||a - exp(i*phi)*b||, for a and b cut into the
+    matching contiguous 2-D parts that ``parts()`` yields afresh for each
+    pass: the overlap vdot(b, a), which fixes phi, then the squared norm of
+    the difference, each summed part by part. The callers cut parts of
+    ``_BLOCK_ELEMENTS`` elements that depend on the row count only, so the
+    bits do not depend on who cut them."""
     overlap = 0j
     for a, b in parts():
         overlap += np.vdot(b, a)
@@ -300,10 +293,15 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     at phi = arg(trace(b^dag a)) = arg(vdot(b, a)); evaluating the difference
     there instead of expanding ||a||^2 + ||b||^2 - 2|trace| keeps full
     precision near zero, where the expanded form cancels catastrophically.
-    The sums run over column blocks (a 1-D input is one row), as
-    :func:`_distance` says, so no temporary larger than a block is made.
+    The sums run over parts of the columns that it cuts here (a 1-D input
+    is one row), so no temporary larger than a part is made.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     rows, cols = (len(a), math.prod(a.shape[1:])) if a.ndim > 1 else (1, a.size)
-    return _distance(lambda: [(a.reshape(rows, cols), b.reshape(rows, cols))])
+    a, b = a.reshape(rows, cols), b.reshape(rows, cols)
+    width = max(1, _BLOCK_ELEMENTS // max(1, rows))
+    cuts = [slice(start, start + width) for start in range(0, cols, width)]
+    return _distance(
+        lambda: ((np.ascontiguousarray(a[:, c]), np.ascontiguousarray(b[:, c])) for c in cuts)
+    )

@@ -126,16 +126,12 @@ _OPS = (PauliOp.I, PauliOp.X, PauliOp.Z, PauliOp.Y)  # indexed by x bit + 2 * z 
 _LABEL_CHARS = {"00": "I", "10": "X", "11": "Y", "01": "Z"}  # keyed by x bit, z bit
 _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
-# the slot setters write past the frozen __setattr__
-_set_n_qubits, _set_x, _set_z = (
-    PauliString.__dict__[name].__set__ for name in ("n_qubits", "x", "z")
-)
 
 
 def _init_fields(p: PauliString, n_qubits: int, x: int, z: int) -> None:
-    _set_n_qubits(p, n_qubits)
-    _set_x(p, x)
-    _set_z(p, z)
+    object.__setattr__(p, "n_qubits", n_qubits)
+    object.__setattr__(p, "x", x)
+    object.__setattr__(p, "z", z)
 
 
 def _label_masks(label: str) -> tuple[int, int]:

@@ -5,20 +5,18 @@ qubits onto the lowest-index one with a CNOT chain, rotates it with a single
 RZ, and uncomputes. Non-Z factors are handled by basis-change wraps: H turns
 the Z axis into X, and an additional S / S-dagger pair turns X into Y.
 
-Three interchangeable constructions are exposed:
+Three interchangeable layouts of the wraps are exposed. Each runs in
+ascending qubit order, layer by layer, which fixes the gate order:
 
-* ``z-ladder``   -- parity ladder in the Z basis, per-qubit wraps for X and Y.
-* ``x-ladder``   -- an X-basis core (the Z ladder conjugated by H on every
-  support qubit), then per-qubit switches X->Z via H and X->Y via S/S-dagger.
-* ``mixed``      -- the core keeps Z factors bare and puts X legs only where
-  the string carries X or Y, so only the Y qubits need an extra S wrap.
+* ``z-ladder`` -- qubit by qubit: H on each X factor, Sdg then H before and
+  H then S after on each Y factor.
+* ``mixed``    -- H legs on the X and Y factors, inside an outer layer of Sdg
+  before and S after on each Y factor: z-ladder's gates in another order.
+* ``x-ladder`` -- mixed with H legs on every support qubit and an outer H on
+  each Z factor too: an adjacent H pair per Z factor on each side of the
+  ladder, 4 gates more, which :func:`cancel_adjacent` removes to leave mixed.
 
-All three produce the same unitary. For one term, z-ladder and mixed use
-the same gates in another order, and x-ladder is mixed plus an adjacent H
-pair on each side of the ladder for every Z factor: 4 gates more per Z
-factor, which :func:`cancel_adjacent` removes to leave mixed gate for gate.
-Wraps are emitted per support qubit in ascending order on both sides of the
-ladder, which fixes a deterministic gate order for golden tests.
+All three produce the same unitary.
 """
 
 from __future__ import annotations
@@ -96,9 +94,11 @@ def _ladder(support: tuple[int, ...], theta: float) -> list[Gate]:
 def _wraps(
     string: PauliString, support: tuple[int, ...], variant: SynthVariant
 ) -> tuple[list[Gate], list[Gate]]:
-    """The basis changes before and after the ladder, as (pre, post) gate lists."""
-    x_only, y, z_only = string.x & ~string.z, string.x & string.z, string.z & ~string.x
+    """The basis changes before and after the ladder, as (pre, post) gate
+    lists: z-ladder's qubit by qubit, the others as the H legs and the outer
+    layer that the module docstring gives for each."""
     if variant is SynthVariant.Z_LADDER:
+        x_only, y = string.x & ~string.z, string.x & string.z
         pre: list[Gate] = []
         post: list[Gate] = []
         for k in support:
@@ -113,22 +113,12 @@ def _wraps(
         return pre, post
 
     if variant is SynthVariant.X_LADDER:
-        x_legs = support
-        outer_pre, outer_post = [], []
-        for k in support:
-            if z_only >> k & 1:
-                h = _trusted_gate(H, (k,))
-                outer_pre.append(h)
-                outer_post.append(h)
-            elif y >> k & 1:
-                outer_pre.append(_trusted_gate(SDG, (k,)))
-                outer_post.append(_trusted_gate(S, (k,)))
-    else:  # MIXED: X legs only where the string has X or Y
-        x_legs, y_legs = _bits(string.x), _bits(y)
-        outer_pre = [_trusted_gate(SDG, (k,)) for k in y_legs]
-        outer_post = [_trusted_gate(S, (k,)) for k in y_legs]
-
-    inner = [_trusted_gate(H, (k,)) for k in x_legs]
+        legs, outer = support, _bits(string.z)
+    else:
+        legs, outer = _bits(string.x), _bits(string.x & string.z)
+    outer_pre = [_trusted_gate(SDG if string.x >> k & 1 else H, (k,)) for k in outer]
+    outer_post = [g if g.kind == H else _trusted_gate(S, g.qubits) for g in outer_pre]
+    inner = [_trusted_gate(H, (k,)) for k in legs]
     return outer_pre + inner, inner + outer_post
 
 
