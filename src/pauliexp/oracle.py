@@ -272,9 +272,8 @@ def _distance(parts: Callable[[], Iterable[tuple[np.ndarray, np.ndarray]]]) -> f
     """min over phi of ||a - exp(i*phi)*b||, for a and b cut into the
     matching contiguous 2-D parts that ``parts()`` yields afresh for each
     pass: the overlap vdot(b, a), which fixes phi, then the squared norm of
-    the difference, each summed part by part. The callers cut parts of
-    ``_BLOCK_ELEMENTS`` elements that depend on the row count only, so the
-    bits do not depend on who cut them."""
+    the difference, each summed part by part. Each caller cuts parts of
+    ``_BLOCK_ELEMENTS`` elements for the row count, so their bits agree."""
     overlap = 0j
     for a, b in parts():
         overlap += np.vdot(b, a)

@@ -112,11 +112,14 @@ def _wraps(
                 post += [h, _trusted_gate(S, (k,))]
         return pre, post
 
+    # the H legs and the Z factors that get an outer H; the outer layer sits
+    # on the legs with a Z component: H on those in outer_h, Sdg on the Ys
+    x, z = string.x, string.z
     if variant is SynthVariant.X_LADDER:
-        legs, outer = support, _bits(string.z)
+        legs, outer_h = support, z & ~x
     else:
-        legs, outer = _bits(string.x), _bits(string.x & string.z)
-    outer_pre = [_trusted_gate(SDG if string.x >> k & 1 else H, (k,)) for k in outer]
+        legs, outer_h = _bits(x), 0
+    outer_pre = [_trusted_gate(H if outer_h >> k & 1 else SDG, (k,)) for k in legs if z >> k & 1]
     outer_post = [g if g.kind == H else _trusted_gate(S, g.qubits) for g in outer_pre]
     inner = [_trusted_gate(H, (k,)) for k in legs]
     return outer_pre + inner, inner + outer_post
