@@ -52,6 +52,14 @@ def _check_qubit_cap(n: int, cap: int = MAX_DENSE_QUBITS, what: str = "dense-mat
         raise ValueError(f"{n} qubits exceeds the {what} cap of {cap}")
 
 
+def _finite_t(t: object) -> float:
+    """t as a finite float: a TypeError names any other type, a ValueError a non-finite value."""
+    t = _as_real(t, "t")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    return t
+
+
 def _msb_first(mask: int, n: int) -> int:
     """An n-bit mask with bit k moved to bit n-1-k: qubit k's bit in a basis index."""
     return int(f"{mask:0{n}b}"[::-1], 2)
@@ -88,9 +96,10 @@ def exp_pauli_closed_form(p: PauliString, t: float) -> np.ndarray:
     """exp(-i*t*P) = cos(t)*I - i*sin(t)*P, exact because P squares to I.
 
     This closed form is the ground truth every synthesized circuit is
-    checked against.
+    checked against. ``t`` is checked as :func:`matrix_exponential` checks it.
     """
     _check_qubit_cap(p.n_qubits)
+    t = _finite_t(t)
     dim = 2**p.n_qubits
     return math.cos(t) * np.eye(dim, dtype=complex) - 1j * math.sin(t) * pauli_matrix(p)
 
@@ -232,9 +241,7 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(
             f"dimension {m.shape[0]} exceeds the exponential cap of {2**MAX_EXPM_QUBITS}"
         )
-    t = _as_real(t, "t")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    t = _finite_t(t)
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
     # divided by a power of two, which is exact, where an entry reaches 2^500

@@ -23,6 +23,7 @@ import math
 import re
 from typing import Iterator, NamedTuple
 
+from .circuit import _as_int
 from .paulis import Hamiltonian, PauliString, PauliTerm
 
 _INT_RE = re.compile(r"[0-9]+$")
@@ -151,10 +152,14 @@ def parse_hamiltonian(text: str, n_qubits: int) -> Hamiltonian:
     """Parse an expression like ``"0.5*Z0 Z1 + 0.3*X0"`` into a Hamiltonian.
 
     Terms appear in the result in source order. Raises :class:`ParseError`
-    on any input outside the grammar.
+    on any input outside the grammar, ValueError on an ``n_qubits`` that is
+    not a positive int and TypeError on a ``text`` that is not a str.
     """
+    n_qubits = _as_int(n_qubits, "n_qubits")
     if n_qubits < 1:
         raise ValueError("n_qubits must be positive")
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, got {type(text).__name__}")
     tokens = _tokenize(text)
     try:
         return _Parser(tokens, n_qubits).parse()

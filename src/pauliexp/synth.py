@@ -72,6 +72,7 @@ def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> Qua
     CX(q2, q1), RZ(q1, theta), then the mirrored CX sequence: the chain
     folds the joint parity onto q1, where one RZ applies the phase.
     """
+    n_qubits = _as_int(n_qubits, "n_qubits")
     support = tuple(_as_int(q, "qubit index") for q in support)
     if not support:
         raise ValueError("support must not be empty")
@@ -140,6 +141,8 @@ def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumC
     :func:`trotter_circuit`'s checks. The identity string has no gates; its
     exponential is the pure phase exp(-i*t*w), kept in global_phase.
     """
+    if not isinstance(term, PauliTerm):
+        raise TypeError(f"term must be a PauliTerm, got {term!r}")
     return trotter_circuit(Hamiltonian(term.n_qubits, (term,)), EvolutionParams(t), variant)
 
 
@@ -148,14 +151,16 @@ def _product(
 ) -> tuple[Iterable[Gate], float]:
     """The gates of the first-order Trotter product, in order, and its phase.
 
-    Every check runs before the first gate: ``params`` are
-    :class:`EvolutionParams`, the variant is a :class:`SynthVariant`, each
-    term's RZ angle is finite, then the phase is finite. So a stream that
-    starts never fails part way; its gates lie inside ``h.n_qubits`` because
-    every term's string does.
+    Every check runs before the first gate: ``h`` is a :class:`Hamiltonian`,
+    ``params`` are :class:`EvolutionParams`, the variant is a
+    :class:`SynthVariant`, each term's RZ angle is finite, then the phase is
+    finite. So a stream that starts never fails part way; its gates lie
+    inside ``h.n_qubits`` because every term's string does.
     The gates are a lazy stream of the slice, synthesized once and replayed
     ``reps`` times; with ``compact``, the survivors of :func:`_cancel` on it.
     """
+    if not isinstance(h, Hamiltonian):
+        raise TypeError(f"h must be a Hamiltonian, got {h!r}")
     if not isinstance(params, EvolutionParams):
         raise TypeError(f"params must be EvolutionParams, got {params!r}")
     if not isinstance(variant, SynthVariant):

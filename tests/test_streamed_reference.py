@@ -219,3 +219,9 @@ def test_distance_works_on_short_vectors():
     assert phase_invariant_distance(a, 1j * a) <= 1e-15
     b = np.array([1, 0, 0], dtype=complex)
     assert phase_invariant_distance(a, b) == pytest.approx(_whole_array_distance(a, b), abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0,), (3, 0, 2)])
+def test_distance_of_empty_arrays_is_zero(shape):
+    a = np.zeros(shape, dtype=complex)
+    assert phase_invariant_distance(a, a.copy()) == 0.0

@@ -24,6 +24,7 @@ from pauliexp import (
     exp_pauli_term,
     hamiltonian_matrix,
     matrix_exponential,
+    parse_hamiltonian,
     phase_invariant_distance,
     synth_z_rotation,
     trotter_circuit,
@@ -32,6 +33,7 @@ from helpers import random_pauli_string, reference_exp_pauli_term
 from test_pauli_masks import for_labels
 
 T_SAMPLES = (0.1, 0.7, math.pi / 3, -1.2)
+Z_STRING = PauliString.from_label("Z")
 
 
 def term(label: str, coefficient: float = 1.0) -> PauliTerm:
@@ -351,6 +353,24 @@ def test_evolution_params_rejects_complex_and_text_t(bad):
         (lambda: QuantumCircuit(1, (), None), TypeError, "global_phase must be a real number"),
         (lambda: EvolutionParams([0.5]), TypeError, r"t must be a real number, got \[0.5\]"),
         (lambda: PauliTerm(1.0, "XZ"), TypeError, "string must be a PauliString, got 'XZ'"),
+        (
+            lambda: exp_pauli_term("Z0", 1.0, SynthVariant.Z_LADDER),
+            TypeError,
+            "term must be a PauliTerm, got 'Z0'",
+        ),
+        (
+            lambda: trotter_circuit("Z0", EvolutionParams(1.0)),
+            TypeError,
+            "h must be a Hamiltonian, got 'Z0'",
+        ),
+        (lambda: parse_hamiltonian("Z0", "3"), ValueError, "n_qubits must be an int, got '3'"),
+        (lambda: parse_hamiltonian("Z0", 2.0), ValueError, "n_qubits must be an int, got 2.0"),
+        (lambda: parse_hamiltonian(123, 2), TypeError, "text must be a str, got int"),
+        (lambda: parse_hamiltonian(b"Z0", 2), TypeError, "text must be a str, got bytes"),
+        (lambda: synth_z_rotation("3", [0], 1.0), ValueError, "n_qubits must be an int, got '3'"),
+        (lambda: exp_pauli_closed_form(Z_STRING, math.inf), ValueError, "finite, got inf"),
+        (lambda: exp_pauli_closed_form(Z_STRING, math.nan), ValueError, "finite, got nan"),
+        (lambda: exp_pauli_closed_form(Z_STRING, "1"), TypeError, "real number, got '1'"),
     ],
     ids=[
         "hamiltonian-terms",
@@ -368,6 +388,16 @@ def test_evolution_params_rejects_complex_and_text_t(bad):
         "circuit-none-phase",
         "params-list-t",
         "term-text-string",
+        "exp-pauli-term-text-term",
+        "trotter-text-hamiltonian",
+        "parse-text-n-qubits",
+        "parse-float-n-qubits",
+        "parse-int-text",
+        "parse-bytes-text",
+        "ladder-text-n-qubits",
+        "closed-form-infinite-t",
+        "closed-form-nan-t",
+        "closed-form-text-t",
     ],
 )
 @pytest.mark.filterwarnings("error")  # and no numpy warning on the way
@@ -398,6 +428,12 @@ def test_evolution_params_accepts_numpy_int_reps():
     assert params.reps == 3 and type(params.reps) is int
     h = Hamiltonian(1, (term("Z"),))
     assert len(trotter_circuit(h, params)) == 3
+
+
+def test_parse_stores_int_qubit_counts_from_numpy_ints():
+    h = parse_hamiltonian("1*Z0 + 0.5*X1 Y2 - 2*Id", np.int64(3))
+    assert type(h.n_qubits) is int
+    assert all(type(t.string.n_qubits) is int for t in h.terms)
 
 
 def test_ladder_rejects_non_int_support():
