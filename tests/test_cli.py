@@ -176,6 +176,16 @@ def test_late_overflow_writes_nothing(command, ham, tmp_path, capsys):
         assert not target.exists()
 
 
+def test_unwritable_out_exits_1_and_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.qasm"
+    argv = ["trotter", "--ham", "1*Z0 + 0.5*X0", "--n", "1", "--t", "0.5", "--reps", "2"]
+    assert run_cli([*argv, "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write output:")
+    assert not target.parent.exists()
+
+
 def test_trotter_repeats_slices(capsys):
     rc = run_cli(["trotter", "--ham", "1*Z0", "--n", "1", "--t", "0.5", "--reps", "3"])
     captured = capsys.readouterr()

@@ -324,6 +324,32 @@ def test_evolution_params_rejects_complex_and_text_t(bad):
 
 
 @pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: Gate("cx", (0,)), "cx takes 2 qubit(s), got (0,)"),
+        (lambda: Gate.h(-1), "negative qubit index in (-1,)"),
+        (lambda: QuantumCircuit(0), "n_qubits must be positive"),
+        (lambda: QuantumCircuit(1, (), math.inf), "global_phase must be finite"),
+        (lambda: Hamiltonian(0), "n_qubits must be positive"),
+        (lambda: parse_hamiltonian("Z0", 0), "n_qubits must be positive"),
+        (lambda: EvolutionParams(1.0, 0), "reps must be "),
+    ],
+    ids=[
+        "gate-arity",
+        "gate-negative-qubit",
+        "circuit-no-qubits",
+        "circuit-infinite-phase",
+        "hamiltonian-no-qubits",
+        "parse-no-qubits",
+        "params-no-reps",
+    ],
+)
+def test_rejected_values_are_named_first(build, fragment):
+    with pytest.raises(ValueError, match=f"^{re.escape(fragment)}"):
+        build()
+
+
+@pytest.mark.parametrize(
     "build,error,fragment",
     [
         (lambda: Hamiltonian(2, ["X"]), TypeError, "PauliTerm values, got 'X'"),
