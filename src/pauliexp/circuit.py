@@ -48,23 +48,33 @@ def _as_int(value: object, what: str) -> int:
     return operator.index(value)
 
 
-def _as_real(value: object, what: str) -> float:
-    """``value`` as a float; numpy reals and bools pass, complex, text, None
-    and other values float() rejects do not."""
-    if not isinstance(value, (complex, str, bytes, bytearray)):
+def _positive(value: object, what: str) -> int:
+    """``value`` as an int of at least 1, taken as :func:`_as_int` takes it."""
+    count = _as_int(value, what)
+    if count < 1:
+        raise ValueError(f"{what} must be positive, got {count}")
+    return count
+
+
+def _finite(value: object, what: str) -> float:
+    """``value`` as a finite float; numpy reals and bools pass. A TypeError
+    names complex values and text, numpy's included, None and other values
+    float() rejects; a ValueError names a value that is not finite, or an
+    int past the float range."""
+    if not isinstance(value, (complex, str, bytes, bytearray)) and (
+        getattr(getattr(value, "dtype", None), "kind", None) not in ("c", "S", "U")
+    ):
         try:
-            return float(value)
+            real = float(value)
         except TypeError:
             pass
+        except OverflowError:
+            raise ValueError(f"{what} must be finite, got an int past the float range") from None
+        else:
+            if math.isfinite(real):
+                return real
+            raise ValueError(f"{what} must be finite, got {real}")
     raise TypeError(f"{what} must be a real number, got {value!r}")
-
-
-def _finite_angle(kind: str, angle: object) -> float:
-    """A rotation angle as a finite float."""
-    value = None if angle is None else _as_real(angle, f"{kind} angle")
-    if value is None or not math.isfinite(value):
-        raise ValueError(f"{kind} needs a finite angle, got {angle!r}")
-    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +100,7 @@ class Gate:
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"repeated qubit index in {qubits}")
         if self.kind in _ROTATIONS:
-            object.__setattr__(self, "angle", _finite_angle(self.kind, self.angle))
+            object.__setattr__(self, "angle", _finite(self.angle, f"{self.kind} angle"))
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
@@ -162,9 +172,7 @@ class QuantumCircuit:
     global_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_qubits", _as_int(self.n_qubits, "n_qubits"))
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
+        object.__setattr__(self, "n_qubits", _positive(self.n_qubits, "n_qubits"))
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
             if not isinstance(gate, Gate):
@@ -174,10 +182,7 @@ class QuantumCircuit:
                     raise ValueError(
                         f"gate {gate!r} touches qubit {q}, circuit has {self.n_qubits}"
                     )
-        phase = _as_real(self.global_phase, "global_phase")
-        if not math.isfinite(phase):
-            raise ValueError("global_phase must be finite")
-        object.__setattr__(self, "global_phase", phase)
+        object.__setattr__(self, "global_phase", _finite(self.global_phase, "global_phase"))
 
     def dagger(self) -> QuantumCircuit:
         """Circuit whose unitary is the conjugate transpose of this one's."""

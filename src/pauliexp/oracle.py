@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .circuit import CX, CZ, H, RZ, S, SDG, Gate, QuantumCircuit, _as_real
+from .circuit import CX, CZ, H, RZ, S, SDG, Gate, QuantumCircuit, _finite
 from .paulis import Hamiltonian, PauliString, _bits
 
 MAX_DENSE_QUBITS = 12
@@ -50,14 +50,6 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
 def _check_qubit_cap(n: int, cap: int = MAX_DENSE_QUBITS, what: str = "dense-matrix") -> None:
     if n > cap:
         raise ValueError(f"{n} qubits exceeds the {what} cap of {cap}")
-
-
-def _finite_t(t: object) -> float:
-    """t as a finite float: a TypeError names any other type, a ValueError a non-finite value."""
-    t = _as_real(t, "t")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
-    return t
 
 
 def _msb_first(mask: int, n: int) -> int:
@@ -99,7 +91,7 @@ def exp_pauli_closed_form(p: PauliString, t: float) -> np.ndarray:
     checked against. ``t`` is checked as :func:`matrix_exponential` checks it.
     """
     _check_qubit_cap(p.n_qubits)
-    t = _finite_t(t)
+    t = _finite(t, "t")
     dim = 2**p.n_qubits
     return math.cos(t) * np.eye(dim, dtype=complex) - 1j * math.sin(t) * pauli_matrix(p)
 
@@ -241,7 +233,7 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(
             f"dimension {m.shape[0]} exceeds the exponential cap of {2**MAX_EXPM_QUBITS}"
         )
-    t = _finite_t(t)
+    t = _finite(t, "t")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
     # divided by a power of two, which is exact, where an entry reaches 2^500

@@ -23,7 +23,7 @@ import math
 import re
 from typing import Iterator, NamedTuple
 
-from .circuit import _as_int
+from .circuit import _positive
 from .paulis import Hamiltonian, PauliString, PauliTerm
 
 _INT_RE = re.compile(r"[0-9]+$")
@@ -155,9 +155,7 @@ def parse_hamiltonian(text: str, n_qubits: int) -> Hamiltonian:
     on any input outside the grammar, ValueError on an ``n_qubits`` that is
     not a positive int and TypeError on a ``text`` that is not a str.
     """
-    n_qubits = _as_int(n_qubits, "n_qubits")
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be positive")
+    n_qubits = _positive(n_qubits, "n_qubits")
     if not isinstance(text, str):
         raise TypeError(f"text must be a str, got {type(text).__name__}")
     tokens = _tokenize(text)

@@ -13,13 +13,12 @@ width. Labels, ``ops``, indexing and iteration are views of the masks.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .circuit import _as_int, _as_real
+from .circuit import _finite, _positive
 
 
 class PauliOp(Enum):
@@ -160,10 +159,7 @@ class PauliTerm:
     def __post_init__(self) -> None:
         if not isinstance(self.string, PauliString):
             raise TypeError(f"string must be a PauliString, got {self.string!r}")
-        coeff = _as_real(self.coefficient, "coefficient")
-        if not math.isfinite(coeff):
-            raise ValueError(f"coefficient must be finite, got {self.coefficient!r}")
-        object.__setattr__(self, "coefficient", coeff)
+        object.__setattr__(self, "coefficient", _finite(self.coefficient, "coefficient"))
 
     @property
     def n_qubits(self) -> int:
@@ -185,9 +181,7 @@ class Hamiltonian:
     terms: tuple[PauliTerm, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_qubits", _as_int(self.n_qubits, "n_qubits"))
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
+        object.__setattr__(self, "n_qubits", _positive(self.n_qubits, "n_qubits"))
         object.__setattr__(self, "terms", tuple(self.terms))
         for term in self.terms:
             if not isinstance(term, PauliTerm):

@@ -21,7 +21,6 @@ All three produce the same unitary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -35,9 +34,9 @@ from .circuit import (
     Gate,
     QuantumCircuit,
     _as_int,
-    _as_real,
     _cancel,
-    _finite_angle,
+    _finite,
+    _positive,
     _trusted_gate,
 )
 from .paulis import Hamiltonian, PauliString, PauliTerm, _bits
@@ -57,12 +56,8 @@ class EvolutionParams:
     reps: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", _as_real(self.t, "t"))
-        if not math.isfinite(self.t):
-            raise ValueError("t must be finite")
-        object.__setattr__(self, "reps", _as_int(self.reps, "reps"))
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        object.__setattr__(self, "t", _finite(self.t, "t"))
+        object.__setattr__(self, "reps", _positive(self.reps, "reps"))
 
 
 def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> QuantumCircuit:
@@ -80,16 +75,16 @@ def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> Qua
         raise ValueError(f"support must be strictly ascending, got {support}")
     if support[0] < 0 or support[-1] >= n_qubits:
         raise ValueError(f"support {support} out of range for {n_qubits} qubits")
-    return QuantumCircuit(n_qubits, _ladder(support, _finite_angle(RZ, theta)))
+    return QuantumCircuit(n_qubits, _ladder(support, _finite(theta, "rz angle")))
 
 
 def _ladder(support: tuple[int, ...], theta: float) -> list[Gate]:
     """Gates of :func:`synth_z_rotation` for a valid ascending support and
-    a finite theta, which every caller checks first."""
+    a finite float theta, which every caller checks first."""
     down = [
         _trusted_gate(CX, (support[i], support[i - 1])) for i in range(len(support) - 1, 0, -1)
     ]
-    return [*down, _trusted_gate(RZ, (support[0],), float(theta)), *reversed(down)]
+    return [*down, _trusted_gate(RZ, (support[0],), theta), *reversed(down)]
 
 
 def _wraps(
@@ -153,8 +148,8 @@ def _product(
 
     Every check runs before the first gate: ``h`` is a :class:`Hamiltonian`,
     ``params`` are :class:`EvolutionParams`, the variant is a
-    :class:`SynthVariant`, each term's RZ angle is finite, then the phase is
-    finite. So a stream that starts never fails part way; its gates lie
+    :class:`SynthVariant`, then :func:`_finite` takes each term's RZ angle
+    and the summed phase. So a stream that starts never fails part way; its gates lie
     inside ``h.n_qubits`` because every term's string does.
     The gates are a lazy stream of the slice, synthesized once and replayed
     ``reps`` times; with ``compact``, the survivors of :func:`_cancel` on it.
@@ -168,8 +163,8 @@ def _product(
     t = params.t / params.reps
     angles = [2.0 * t * term.coefficient for term in h.terms]
     for term, angle in zip(h.terms, angles):
-        if term.string.x | term.string.z and not math.isfinite(angle):
-            raise ValueError(f"rz needs a finite angle, got {angle!r}")
+        if term.string.x | term.string.z:
+            _finite(angle, "rz angle")
     # the identity terms' phases -t/reps*w summed left to right over terms x
     # reps; the other terms add 0.0, which leaves a sum from 0.0 unchanged
     phases = [-t * term.coefficient for term in h.terms if not term.string.x | term.string.z]
@@ -177,8 +172,7 @@ def _product(
     for _ in range(params.reps):
         for piece_phase in phases:
             phase += piece_phase
-    if not math.isfinite(phase):
-        raise ValueError("global_phase must be finite")
+    _finite(phase, "global_phase")
     gates = _replayed_slice(h.terms, angles, variant, params.reps)
     return (_cancel(gates) if compact else gates), phase
 

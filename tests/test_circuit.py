@@ -36,7 +36,7 @@ def test_gate_validation():
         Gate("t", (0,))
     with pytest.raises(ValueError):
         Gate.cx(1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="^rz angle must be a real number, got None$"):
         Gate("rz", (0,))  # rotation without angle
     with pytest.raises(ValueError):
         Gate("h", (0,), 0.5)  # angle on a fixed gate

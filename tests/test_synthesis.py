@@ -34,6 +34,7 @@ from test_pauli_masks import for_labels
 
 T_SAMPLES = (0.1, 0.7, math.pi / 3, -1.2)
 Z_STRING = PauliString.from_label("Z")
+PAST = ", got an int past the float range$"
 
 
 def term(label: str, coefficient: float = 1.0) -> PauliTerm:
@@ -82,9 +83,11 @@ def test_ladder_input_validation():
         synth_z_rotation(3, [1, 1], 0.5)
     with pytest.raises(ValueError, match="out of range"):
         synth_z_rotation(3, [1, 3], 0.5)
-    for theta, shown in ((math.inf, "inf"), (math.nan, "nan"), (None, "None")):
-        with pytest.raises(ValueError, match=f"^rz needs a finite angle, got {shown}$"):
+    for theta, shown in ((math.inf, "inf"), (math.nan, "nan")):
+        with pytest.raises(ValueError, match=f"^rz angle must be finite, got {shown}$"):
             synth_z_rotation(3, [0, 2], theta)
+    with pytest.raises(TypeError, match="^rz angle must be a real number, got None$"):
+        synth_z_rotation(3, [0, 2], None)
     for theta in (2, np.int64(-3), np.float32(0.5), np.float64(1.25)):
         (rz,) = [g for g in synth_z_rotation(3, [0, 2], theta).gates if g.kind == "rz"]
         assert type(rz.angle) is float and rz.angle == float(theta)
@@ -397,6 +400,31 @@ def test_rejected_values_are_named_first(build, fragment):
         (lambda: exp_pauli_closed_form(Z_STRING, math.inf), ValueError, "finite, got inf"),
         (lambda: exp_pauli_closed_form(Z_STRING, math.nan), ValueError, "finite, got nan"),
         (lambda: exp_pauli_closed_form(Z_STRING, "1"), TypeError, "real number, got '1'"),
+        (lambda: EvolutionParams(10**400), ValueError, f"^t must be finite{PAST}"),
+        (lambda: PauliTerm(10**400, Z_STRING), ValueError, f"^coefficient must be finite{PAST}"),
+        (lambda: Gate.rz(0, 10**400), ValueError, f"^rz angle must be finite{PAST}"),
+        (lambda: QuantumCircuit(1, (), 10**400), ValueError, f"^global_phase must be finite{PAST}"),
+        (lambda: exp_pauli_closed_form(Z_STRING, 10**400), ValueError, f"^t must be finite{PAST}"),
+        (lambda: matrix_exponential(np.eye(2), 10**400), ValueError, f"^t must be finite{PAST}"),
+        (lambda: EvolutionParams(10**5000), ValueError, f"^t must be finite{PAST}"),
+        (lambda: EvolutionParams(np.complex64(1 + 2j)), TypeError, "^t must be a real number"),
+        (
+            lambda: PauliTerm(np.complex64(0.5 + 1j), Z_STRING),
+            TypeError,
+            "^coefficient must be a real number",
+        ),
+        (lambda: Gate.rz(0, np.clongdouble(0.25 + 1j)), TypeError, "^rz angle must be a real"),
+        (
+            lambda: exp_pauli_closed_form(Z_STRING, np.complex64(0.5 + 3j)),
+            TypeError,
+            "^t must be a real number",
+        ),
+        (lambda: EvolutionParams(np.array(1 + 2j)), TypeError, "^t must be a real number"),
+        (
+            lambda: QuantumCircuit(1, (), np.array("0.5")),
+            TypeError,
+            "^global_phase must be a real number",
+        ),
     ],
     ids=[
         "hamiltonian-terms",
@@ -424,12 +452,39 @@ def test_rejected_values_are_named_first(build, fragment):
         "closed-form-infinite-t",
         "closed-form-nan-t",
         "closed-form-text-t",
+        "params-huge-int-t",
+        "term-huge-int-coefficient",
+        "rz-huge-int-angle",
+        "circuit-huge-int-phase",
+        "closed-form-huge-int-t",
+        "expm-huge-int-t",
+        "params-int-past-repr-limit-t",
+        "params-numpy-complex-t",
+        "term-numpy-complex-coefficient",
+        "rz-numpy-clongdouble-angle",
+        "closed-form-numpy-complex-t",
+        "params-complex-array-t",
+        "circuit-text-array-phase",
     ],
 )
 @pytest.mark.filterwarnings("error")  # and no numpy warning on the way
 def test_wrong_argument_types_and_infinite_t_are_named(build, error, fragment):
     with pytest.raises(error, match=fragment):
         build()
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.array(0.5)], ids=["float32", "0-d-array"])
+@pytest.mark.filterwarnings("error")
+def test_numpy_real_values_are_stored_as_floats(value):
+    stored = (
+        EvolutionParams(value).t,
+        PauliTerm(value, Z_STRING).coefficient,
+        Gate.rz(0, value).angle,
+        QuantumCircuit(1, (), value).global_phase,
+    )
+    assert all(type(x) is float and x == 0.5 for x in stored)
+    closed_form = exp_pauli_closed_form(Z_STRING, value)
+    assert np.array_equal(closed_form, exp_pauli_closed_form(Z_STRING, 0.5))
 
 
 @for_labels(1, 8, examples=500)
@@ -485,12 +540,12 @@ def test_exp_pauli_term_equals_the_single_term_assembly():
 
 
 def test_exp_pauli_term_errors():
-    for t in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="^t must be finite$"):
+    for t, shown in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
+        with pytest.raises(ValueError, match=f"^t must be finite, got {shown}$"):
             exp_pauli_term(term("Z"), t, SynthVariant.Z_LADDER)
-    with pytest.raises(ValueError, match="^rz needs a finite angle, got inf$"):
+    with pytest.raises(ValueError, match="^rz angle must be finite, got inf$"):
         exp_pauli_term(term("XY", 1e308), 1e308, SynthVariant.MIXED)
-    with pytest.raises(ValueError, match="^global_phase must be finite$"):
+    with pytest.raises(ValueError, match="^global_phase must be finite, got inf$"):
         exp_pauli_term(term("II", -1e308), 1e308, SynthVariant.X_LADDER)
 
 
