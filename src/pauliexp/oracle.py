@@ -76,6 +76,8 @@ def _signed_permutation(p: PauliString) -> tuple[int, np.ndarray]:
 def pauli_matrix(p: PauliString) -> np.ndarray:
     """The matrix of P, qubit 0 leftmost: one nonzero entry per column,
     ``m[src ^ flip, src] = phase[src]`` (see :func:`_signed_permutation`)."""
+    if not isinstance(p, PauliString):
+        raise TypeError(f"p must be a PauliString, got {p!r}")
     _check_qubit_cap(p.n_qubits)
     flip, phase = _signed_permutation(p)
     cols = np.arange(len(phase))
@@ -90,6 +92,8 @@ def exp_pauli_closed_form(p: PauliString, t: float) -> np.ndarray:
     This closed form is the ground truth every synthesized circuit is
     checked against. ``t`` is checked as :func:`matrix_exponential` checks it.
     """
+    if not isinstance(p, PauliString):
+        raise TypeError(f"p must be a PauliString, got {p!r}")
     _check_qubit_cap(p.n_qubits)
     t = _finite(t, "t")
     dim = 2**p.n_qubits
@@ -192,6 +196,8 @@ def _unitary_blocks(c: QuantumCircuit) -> Iterator[tuple[int, np.ndarray, np.nda
 def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
     """Multiply out the circuit's gates in application order, phase included.
     Besides the result only block-sized arrays are live."""
+    if not isinstance(c, QuantumCircuit):
+        raise TypeError(f"c must be a QuantumCircuit, got {c!r}")
     _check_qubit_cap(c.n_qubits)
     dim = 2**c.n_qubits
     u = np.empty((dim, dim), dtype=complex)
@@ -204,6 +210,8 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     """Sum of coefficient * pauli_matrix(string); Hermitian by construction.
     A matrix past the float range raises ValueError, whatever the order of
     the terms that sum to it."""
+    if not isinstance(h, Hamiltonian):
+        raise TypeError(f"h must be a Hamiltonian, got {h!r}")
     _check_qubit_cap(h.n_qubits)
     dim = 2**h.n_qubits
     with np.errstate(over="ignore", invalid="ignore"):

@@ -25,6 +25,7 @@ from pauliexp import (
     hamiltonian_matrix,
     matrix_exponential,
     parse_hamiltonian,
+    pauli_matrix,
     phase_invariant_distance,
     synth_z_rotation,
     trotter_circuit,
@@ -34,6 +35,8 @@ from test_pauli_masks import for_labels
 
 T_SAMPLES = (0.1, 0.7, math.pi / 3, -1.2)
 Z_STRING = PauliString.from_label("Z")
+Z_TERM = PauliTerm(1.0, Z_STRING)
+Z_CIRCUIT = QuantumCircuit(1, (Gate.rz(0, 0.5),))
 PAST = ", got an int past the float range$"
 
 
@@ -425,6 +428,18 @@ def test_rejected_values_are_named_first(build, fragment):
             TypeError,
             "^global_phase must be a real number",
         ),
+        (
+            lambda: exp_pauli_closed_form(Z_TERM, 0.7),
+            TypeError,
+            "^p must be a PauliString, got PauliTerm",
+        ),
+        (lambda: pauli_matrix(Z_TERM), TypeError, "^p must be a PauliString, got PauliTerm"),
+        (lambda: hamiltonian_matrix(Z_TERM), TypeError, "^h must be a Hamiltonian, got PauliTerm"),
+        (
+            lambda: circuit_unitary(Z_CIRCUIT.gates),
+            TypeError,
+            r"^c must be a QuantumCircuit, got \(rz",
+        ),
     ],
     ids=[
         "hamiltonian-terms",
@@ -465,6 +480,10 @@ def test_rejected_values_are_named_first(build, fragment):
         "closed-form-numpy-complex-t",
         "params-complex-array-t",
         "circuit-text-array-phase",
+        "closed-form-term-for-string",
+        "pauli-matrix-term-for-string",
+        "hamiltonian-matrix-term-for-hamiltonian",
+        "circuit-unitary-gates-for-circuit",
     ],
 )
 @pytest.mark.filterwarnings("error")  # and no numpy warning on the way
