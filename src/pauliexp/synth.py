@@ -67,7 +67,7 @@ def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> Qua
     CX(q2, q1), RZ(q1, theta), then the mirrored CX sequence: the chain
     folds the joint parity onto q1, where one RZ applies the phase.
     """
-    n_qubits = _as_int(n_qubits, "n_qubits")
+    n_qubits = _positive(n_qubits, "n_qubits")
     support = tuple(_as_int(q, "qubit index") for q in support)
     if not support:
         raise ValueError("support must not be empty")
@@ -149,8 +149,8 @@ def _product(
     Every check runs before the first gate: ``h`` is a :class:`Hamiltonian`,
     ``params`` are :class:`EvolutionParams`, the variant is a
     :class:`SynthVariant`, then :func:`_finite` takes each term's RZ angle
-    and the summed phase. So a stream that starts never fails part way; its gates lie
-    inside ``h.n_qubits`` because every term's string does.
+    and the summed phase. So a stream that starts never fails part way; its
+    gates lie inside ``h.n_qubits`` because every term's string does.
     The gates are a lazy stream of the slice, synthesized once and replayed
     ``reps`` times; with ``compact``, the survivors of :func:`_cancel` on it.
     """

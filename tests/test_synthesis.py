@@ -400,6 +400,7 @@ def test_rejected_values_are_named_first(build, fragment):
         (lambda: parse_hamiltonian(123, 2), TypeError, "text must be a str, got int"),
         (lambda: parse_hamiltonian(b"Z0", 2), TypeError, "text must be a str, got bytes"),
         (lambda: synth_z_rotation("3", [0], 1.0), ValueError, "n_qubits must be an int, got '3'"),
+        (lambda: synth_z_rotation(0, [0], 1.0), ValueError, "^n_qubits must be positive, got 0$"),
         (lambda: exp_pauli_closed_form(Z_STRING, math.inf), ValueError, "finite, got inf"),
         (lambda: exp_pauli_closed_form(Z_STRING, math.nan), ValueError, "finite, got nan"),
         (lambda: exp_pauli_closed_form(Z_STRING, "1"), TypeError, "real number, got '1'"),
@@ -464,6 +465,7 @@ def test_rejected_values_are_named_first(build, fragment):
         "parse-int-text",
         "parse-bytes-text",
         "ladder-text-n-qubits",
+        "ladder-no-qubits",
         "closed-form-infinite-t",
         "closed-form-nan-t",
         "closed-form-text-t",
