@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
 H = "h"
 S = "s"
@@ -41,10 +41,28 @@ _ROTATIONS = frozenset({RZ, RX})
 _INVERSE_KIND = {H: H, S: SDG, SDG: S, CX: CX, CZ: CZ}
 
 
+def _fits_str(value: int) -> bool:
+    """Whether ``str()`` takes the int: it has at most
+    ``sys.get_int_max_str_digits()`` digits, where 0 means no limit."""
+    limit = sys.get_int_max_str_digits()
+    return not limit or value.bit_length() <= 3 * limit or abs(value) < 10**limit
+
+
+def _shown(value: object) -> str:
+    """``repr(value)`` for a message, but an int too long for ``str()``, alone
+    or in a tuple, shows as its bit length: naming a value never fails."""
+    if isinstance(value, tuple):
+        shown = ", ".join(map(_shown, value))
+        return f"({shown},)" if len(value) == 1 else f"({shown})"
+    if isinstance(value, int) and not _fits_str(value):
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+    return repr(value)
+
+
 def _as_int(value: object, what: str) -> int:
     """``value`` as a plain int; numpy integers pass, bools and floats do not."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{what} must be an int, got {value!r}")
+        raise ValueError(f"{what} must be an int, got {_shown(value)}")
     return operator.index(value)
 
 
@@ -52,7 +70,7 @@ def _positive(value: object, what: str) -> int:
     """``value`` as an int of at least 1, taken as :func:`_as_int` takes it."""
     count = _as_int(value, what)
     if count < 1:
-        raise ValueError(f"{what} must be positive, got {count}")
+        raise ValueError(f"{what} must be positive, got {_shown(count)}")
     return count
 
 
@@ -74,35 +92,74 @@ def _finite(value: object, what: str) -> float:
             if math.isfinite(real):
                 return real
             raise ValueError(f"{what} must be finite, got {real}")
-    raise TypeError(f"{what} must be a real number, got {value!r}")
+    raise TypeError(f"{what} must be a real number, got {_shown(value)}")
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
+class _Value:
+    """Base of the immutable value types. A subclass names its fields once,
+    in ``__match_args__``, keeps them in ``__slots__`` and sets them in its
+    constructor through :meth:`_init`. Equality and the hash are those of the
+    field tuple, ``repr`` shows the fields by name, and pickle and copy set
+    the fields again without the constructor's checks."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = operator.attrgetter(*cls.__match_args__)  # the field tuple of a value
+
+    def _init(self, *fields: object) -> None:
+        for name, value in zip(self.__match_args__, fields):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._fields(self)
+
+    def __setstate__(self, state: tuple) -> None:
+        self._init(*state)
+
+
+class Gate(_Value):
     """One gate application: kind, qubit tuple, and angle for rotations."""
 
-    kind: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
+    __slots__ = __match_args__ = ("kind", "qubits", "angle")
 
-    def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        qubits = tuple([_as_int(q, "qubit index") for q in self.qubits])
-        if self.kind == CZ:
+    def __init__(self, kind: str, qubits: Iterable[int], angle: float | None = None) -> None:
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {_shown(kind)}")
+        qubits = tuple([_as_int(q, "qubit index") for q in qubits])
+        if kind == CZ:
             qubits = tuple(sorted(qubits))
-        object.__setattr__(self, "qubits", qubits)
-        expected = 1 if self.kind in _SINGLE else 2
+        expected = 1 if kind in _SINGLE else 2
         if len(qubits) != expected:
-            raise ValueError(f"{self.kind} takes {expected} qubit(s), got {qubits}")
+            raise ValueError(f"{kind} takes {expected} qubit(s), got {_shown(qubits)}")
         if min(qubits) < 0:
-            raise ValueError(f"negative qubit index in {qubits}")
+            raise ValueError(f"negative qubit index in {_shown(qubits)}")
         if len(set(qubits)) != len(qubits):
-            raise ValueError(f"repeated qubit index in {qubits}")
-        if self.kind in _ROTATIONS:
-            object.__setattr__(self, "angle", _finite(self.angle, f"{self.kind} angle"))
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind} takes no angle")
+            raise ValueError(f"repeated qubit index in {_shown(qubits)}")
+        if kind in _ROTATIONS:
+            angle = _finite(angle, f"{kind} angle")
+        elif angle is not None:
+            raise ValueError(f"{kind} takes no angle")
+        self._init(kind, qubits, angle)
 
     @staticmethod
     def h(q: int) -> Gate:
@@ -139,7 +196,7 @@ class Gate:
         return Gate(_INVERSE_KIND[self.kind], self.qubits)
 
     def __repr__(self) -> str:
-        args = ", ".join(str(q) for q in self.qubits)
+        args = ", ".join(map(_shown, self.qubits))
         if self.angle is not None:
             return f"{self.kind}({args}; {self.angle})"
         return f"{self.kind}({args})"
@@ -152,7 +209,7 @@ _set_kind, _set_qubits, _set_angle = (
 
 
 def _trusted_gate(kind: str, qubits: tuple[int, ...], angle: float | None = None) -> Gate:
-    """A Gate built without ``__post_init__``, whose checks would dominate
+    """A Gate built without ``__init__``, whose checks would dominate
     synthesis time. Only for internal callers whose arguments are valid by
     construction: a known kind, a tuple of distinct non-negative ints of the
     right length, and a finite float angle exactly for rotations."""
@@ -163,26 +220,26 @@ def _trusted_gate(kind: str, qubits: tuple[int, ...], angle: float | None = None
     return gate
 
 
-@dataclass(frozen=True)
-class QuantumCircuit:
+class QuantumCircuit(_Value):
     """Ordered gate sequence over ``n_qubits`` with a tracked global phase."""
 
-    n_qubits: int
-    gates: tuple[Gate, ...] = field(default=())
-    global_phase: float = 0.0
+    __match_args__ = ("n_qubits", "gates", "global_phase")
+    __slots__ = (*__match_args__, "__weakref__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_qubits", _positive(self.n_qubits, "n_qubits"))
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for gate in self.gates:
+    def __init__(
+        self, n_qubits: int, gates: Iterable[Gate] = (), global_phase: float = 0.0
+    ) -> None:
+        n_qubits = _positive(n_qubits, "n_qubits")
+        gates = tuple(gates)
+        for gate in gates:
             if not isinstance(gate, Gate):
-                raise TypeError(f"gates must be Gate values, got {gate!r}")
+                raise TypeError(f"gates must be Gate values, got {_shown(gate)}")
             for q in gate.qubits:
-                if q >= self.n_qubits:
+                if q >= n_qubits:
                     raise ValueError(
-                        f"gate {gate!r} touches qubit {q}, circuit has {self.n_qubits}"
+                        f"gate {gate!r} touches qubit {_shown(q)}, circuit has {_shown(n_qubits)}"
                     )
-        object.__setattr__(self, "global_phase", _finite(self.global_phase, "global_phase"))
+        self._init(n_qubits, gates, _finite(global_phase, "global_phase"))
 
     def dagger(self) -> QuantumCircuit:
         """Circuit whose unitary is the conjugate transpose of this one's."""

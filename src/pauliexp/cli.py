@@ -16,8 +16,8 @@ import argparse
 import math
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from contextlib import nullcontext
-from typing import Sequence
 
 from .circuit import GATE_KINDS
 from .parser import ParseError, parse_hamiltonian

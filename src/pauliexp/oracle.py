@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .circuit import CX, CZ, H, RZ, S, SDG, Gate, QuantumCircuit, _finite
+from .circuit import CX, CZ, H, RZ, S, SDG, Gate, QuantumCircuit, _finite, _shown
 from .paulis import Hamiltonian, PauliString, _bits
 
 MAX_DENSE_QUBITS = 12
@@ -49,7 +49,7 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
 
 def _check_qubit_cap(n: int, cap: int = MAX_DENSE_QUBITS, what: str = "dense-matrix") -> None:
     if n > cap:
-        raise ValueError(f"{n} qubits exceeds the {what} cap of {cap}")
+        raise ValueError(f"{_shown(n)} qubits exceeds the {what} cap of {cap}")
 
 
 def _msb_first(mask: int, n: int) -> int:
@@ -77,7 +77,7 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     """The matrix of P, qubit 0 leftmost: one nonzero entry per column,
     ``m[src ^ flip, src] = phase[src]`` (see :func:`_signed_permutation`)."""
     if not isinstance(p, PauliString):
-        raise TypeError(f"p must be a PauliString, got {p!r}")
+        raise TypeError(f"p must be a PauliString, got {_shown(p)}")
     _check_qubit_cap(p.n_qubits)
     flip, phase = _signed_permutation(p)
     cols = np.arange(len(phase))
@@ -93,7 +93,7 @@ def exp_pauli_closed_form(p: PauliString, t: float) -> np.ndarray:
     checked against. ``t`` is checked as :func:`matrix_exponential` checks it.
     """
     if not isinstance(p, PauliString):
-        raise TypeError(f"p must be a PauliString, got {p!r}")
+        raise TypeError(f"p must be a PauliString, got {_shown(p)}")
     _check_qubit_cap(p.n_qubits)
     t = _finite(t, "t")
     dim = 2**p.n_qubits
@@ -197,7 +197,7 @@ def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
     """Multiply out the circuit's gates in application order, phase included.
     Besides the result only block-sized arrays are live."""
     if not isinstance(c, QuantumCircuit):
-        raise TypeError(f"c must be a QuantumCircuit, got {c!r}")
+        raise TypeError(f"c must be a QuantumCircuit, got {_shown(c)}")
     _check_qubit_cap(c.n_qubits)
     dim = 2**c.n_qubits
     u = np.empty((dim, dim), dtype=complex)
@@ -211,7 +211,7 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     A matrix past the float range raises ValueError, whatever the order of
     the terms that sum to it."""
     if not isinstance(h, Hamiltonian):
-        raise TypeError(f"h must be a Hamiltonian, got {h!r}")
+        raise TypeError(f"h must be a Hamiltonian, got {_shown(h)}")
     _check_qubit_cap(h.n_qubits)
     dim = 2**h.n_qubits
     with np.errstate(over="ignore", invalid="ignore"):

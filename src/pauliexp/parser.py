@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterator, NamedTuple
+import sys
+from collections.abc import Iterator
 
-from .circuit import _positive
+from .circuit import _fits_str, _positive, _shown
 from .paulis import Hamiltonian, PauliString, PauliTerm
 
 _INT_RE = re.compile(r"[0-9]+$")
@@ -38,10 +39,13 @@ class ParseError(ValueError):
         self.message = message
 
 
-class _Token(NamedTuple):
-    kind: str  # NUMBER | PAULI | ID | STAR | PLUS | MINUS | EOF
-    text: str
-    position: int
+class _Token:
+    __slots__ = ("kind", "text", "position")
+
+    def __init__(self, kind: str, text: str, position: int) -> None:
+        self.kind = kind  # NUMBER | PAULI | ID | STAR | PLUS | MINUS | EOF
+        self.text = text
+        self.position = position
 
 
 # whitespace and comments match no named group and yield no token; digits
@@ -74,6 +78,12 @@ class _Parser:
         self.tokens = tokens
         self.here = next(tokens)
         self.n_qubits = n_qubits
+        # an index with more significant digits than n_qubits is out of range,
+        # found without int(); the count is capped at int()'s digit limit,
+        # since no mask bit has an index past it
+        self.index_digits = (
+            len(str(n_qubits)) if _fits_str(n_qubits) else sys.get_int_max_str_digits()
+        )
 
     def advance(self) -> _Token:
         tok = self.here
@@ -132,11 +142,14 @@ class _Parser:
             idx_tok = self.advance()
             if idx_tok.kind != "NUMBER" or not _INT_RE.match(idx_tok.text):
                 raise ParseError(idx_tok.position, f"expected a qubit index after '{factor.text}'")
-            index = int(idx_tok.text)
-            if index >= self.n_qubits:
+            digits = idx_tok.text.lstrip("0") or "0"
+            index = int(digits) if len(digits) <= self.index_digits else None
+            if index is None or index >= self.n_qubits:
+                limit = sys.get_int_max_str_digits()  # a message shows no more digits
+                shown = digits if not limit or len(digits) <= limit else f"of {len(digits)} digits"
                 raise ParseError(
                     idx_tok.position,
-                    f"qubit index {index} out of range for {self.n_qubits} qubits",
+                    f"qubit index {shown} out of range for {_shown(self.n_qubits)} qubits",
                 )
             bit = 1 << index
             if (x | z) & bit:

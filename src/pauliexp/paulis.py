@@ -14,11 +14,10 @@ width. Labels, ``ops``, indexing and iteration are views of the masks.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from enum import Enum
-from typing import Iterable, Iterator
 
-from .circuit import _finite, _positive
+from .circuit import _finite, _positive, _shown, _Value
 
 
 class PauliOp(Enum):
@@ -33,8 +32,7 @@ class PauliOp(Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PauliString:
+class PauliString(_Value):
     """One Pauli per qubit, at least one qubit, as two bit masks.
 
     Qubit k is bit k of ``x`` and of ``z``: I is (0, 0), X is (1, 0), Y is
@@ -43,9 +41,7 @@ class PauliString:
     are views of the masks.
     """
 
-    n_qubits: int
-    x: int
-    z: int
+    __slots__ = __match_args__ = ("n_qubits", "x", "z")
 
     def __init__(self, ops: Iterable[PauliOp]) -> None:
         ops = tuple(ops)
@@ -53,7 +49,7 @@ class PauliString:
             raise ValueError("a Pauli string needs at least one qubit")
         if not all(isinstance(op, PauliOp) for op in ops):
             raise TypeError("ops must all be PauliOp values")
-        _init_fields(self, len(ops), *_label_masks("".join(op.value for op in ops)))
+        self._init(len(ops), *_label_masks("".join(op.value for op in ops)))
 
     @classmethod
     def from_label(cls, label: str) -> PauliString:
@@ -77,7 +73,7 @@ class PauliString:
         are valid by construction: ``n_qubits >= 1`` and ``0 <= x, z <
         2**n_qubits``."""
         p = object.__new__(cls)
-        _init_fields(p, n_qubits, x, z)
+        p._init(n_qubits, x, z)
         return p
 
     def to_label(self) -> str:
@@ -110,7 +106,7 @@ class PauliString:
         n = self.n_qubits
         k = operator.index(k)
         if not -n <= k < n:
-            raise IndexError(f"qubit {k} out of range for {n} qubits")
+            raise IndexError(f"qubit {_shown(k)} out of range for {n} qubits")
         k %= n
         return _OPS[(self.x >> k & 1) | (self.z >> k & 1) << 1]
 
@@ -125,12 +121,6 @@ _OPS = (PauliOp.I, PauliOp.X, PauliOp.Z, PauliOp.Y)  # indexed by x bit + 2 * z 
 _LABEL_CHARS = {"00": "I", "10": "X", "11": "Y", "01": "Z"}  # keyed by x bit, z bit
 _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
-
-
-def _init_fields(p: PauliString, n_qubits: int, x: int, z: int) -> None:
-    object.__setattr__(p, "n_qubits", n_qubits)
-    object.__setattr__(p, "x", x)
-    object.__setattr__(p, "z", z)
 
 
 def _label_masks(label: str) -> tuple[int, int]:
@@ -149,17 +139,15 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(positions)
 
 
-@dataclass(frozen=True, slots=True)
-class PauliTerm:
+class PauliTerm(_Value):
     """A Pauli string with a real weight."""
 
-    coefficient: float
-    string: PauliString
+    __slots__ = __match_args__ = ("coefficient", "string")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.string, PauliString):
-            raise TypeError(f"string must be a PauliString, got {self.string!r}")
-        object.__setattr__(self, "coefficient", _finite(self.coefficient, "coefficient"))
+    def __init__(self, coefficient: float, string: PauliString) -> None:
+        if not isinstance(string, PauliString):
+            raise TypeError(f"string must be a PauliString, got {_shown(string)}")
+        self._init(_finite(coefficient, "coefficient"), string)
 
     @property
     def n_qubits(self) -> int:
@@ -169,28 +157,28 @@ class PauliTerm:
         return f"PauliTerm({self.coefficient!r}, {self.string.to_label()!r})"
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
+class Hamiltonian(_Value):
     """An ordered sum of PauliTerms over a fixed qubit count.
 
     Term order is preserved exactly as constructed; Trotter products depend
     on it.
     """
 
-    n_qubits: int
-    terms: tuple[PauliTerm, ...] = field(default=())
+    __match_args__ = ("n_qubits", "terms")
+    __slots__ = (*__match_args__, "__weakref__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_qubits", _positive(self.n_qubits, "n_qubits"))
-        object.__setattr__(self, "terms", tuple(self.terms))
-        for term in self.terms:
+    def __init__(self, n_qubits: int, terms: Iterable[PauliTerm] = ()) -> None:
+        n_qubits = _positive(n_qubits, "n_qubits")
+        terms = tuple(terms)
+        for term in terms:
             if not isinstance(term, PauliTerm):
-                raise TypeError(f"terms must be PauliTerm values, got {term!r}")
-            if term.n_qubits != self.n_qubits:
+                raise TypeError(f"terms must be PauliTerm values, got {_shown(term)}")
+            if term.n_qubits != n_qubits:
                 raise ValueError(
                     f"term {term.string.to_label()!r} acts on {term.n_qubits} "
-                    f"qubits, expected {self.n_qubits}"
+                    f"qubits, expected {_shown(n_qubits)}"
                 )
+        self._init(n_qubits, terms)
 
     def __len__(self) -> int:
         return len(self.terms)

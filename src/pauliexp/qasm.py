@@ -10,23 +10,25 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .circuit import Gate, QuantumCircuit
 
 _HEADER = ('OPENQASM 2.0;', 'include "qelib1.inc";')
 
-# ASCII digits only: \d would also match the other Unicode digits
-_QREG_RE = re.compile(r"qreg q\[([1-9][0-9]*)\];$")
+# ASCII digits only: \d would also match the other Unicode digits. The
+# patterns stay text until validate_qasm's first call, when re's own cache
+# compiles them: emitting never needs them.
+_QREG = r"qreg q\[([1-9][0-9]*)\];$"
 _NUMBER = r"(-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
 _INDEX = r"q\[(0|[1-9][0-9]*)\]"
-_ROTATION_RE = re.compile(rf"(?:rz|rx)\({_NUMBER}\) {_INDEX};$")  # groups: angle, qubit
-_STATEMENT_RES = (  # the groups of the other two capture qubit indices only
-    re.compile(rf"(?:h|s|sdg) {_INDEX};$"),
-    _ROTATION_RE,
-    re.compile(rf"(?:cx|cz) {_INDEX},{_INDEX};$"),
+_ROTATION = rf"(?:rz|rx)\({_NUMBER}\) {_INDEX};$"  # groups: angle, qubit
+_STATEMENTS = (  # the groups of the other two capture qubit indices only
+    rf"(?:h|s|sdg) {_INDEX};$",
+    _ROTATION,
+    rf"(?:cx|cz) {_INDEX},{_INDEX};$",
 )
-_PHASE_RE = re.compile(rf"// global phase: {_NUMBER}$")
+_PHASE = rf"// global phase: {_NUMBER}$"
 
 
 def _angle(value: float) -> str:
@@ -75,21 +77,21 @@ def validate_qasm(text: str) -> None:
     lines = lines[:-1]
     if lines[:2] != list(_HEADER):
         raise ValueError("missing or malformed OpenQASM 2.0 header")
-    qreg = _QREG_RE.match(lines[2]) if len(lines) > 2 else None
+    qreg = re.match(_QREG, lines[2]) if len(lines) > 2 else None
     if not qreg:
         raise ValueError("expected a qreg declaration after the header")
     size = int(qreg[1])
     body = lines[3:]
-    if body and (phase := _PHASE_RE.match(body[-1])):
+    if body and (phase := re.match(_PHASE, body[-1])):
         if not math.isfinite(float(phase[1])):
             raise ValueError(f"line {len(lines)} needs a finite global phase: {body[-1]!r}")
         body.pop()
     for lineno, line in enumerate(body, start=4):
-        match = next(filter(None, (rx.match(line) for rx in _STATEMENT_RES)), None)
+        match = next(filter(None, (re.match(pattern, line) for pattern in _STATEMENTS)), None)
         if not match:
             raise ValueError(f"line {lineno} is not a supported statement: {line!r}")
         indices = match.groups()
-        if match.re is _ROTATION_RE:
+        if match.re.pattern == _ROTATION:
             angle, *indices = indices
             if not math.isfinite(float(angle)):
                 raise ValueError(f"line {lineno} needs a finite angle: {line!r}")

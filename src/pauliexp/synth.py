@@ -21,9 +21,8 @@ All three produce the same unitary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
 
 from .circuit import (
     CX,
@@ -37,7 +36,9 @@ from .circuit import (
     _cancel,
     _finite,
     _positive,
+    _shown,
     _trusted_gate,
+    _Value,
 )
 from .paulis import Hamiltonian, PauliString, PauliTerm, _bits
 
@@ -48,16 +49,14 @@ class SynthVariant(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class EvolutionParams:
+class EvolutionParams(_Value):
     """Evolution angle t, stored as a float, and the Trotter slice count."""
 
-    t: float
-    reps: int = 1
+    __match_args__ = ("t", "reps")
+    __slots__ = (*__match_args__, "__weakref__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", _finite(self.t, "t"))
-        object.__setattr__(self, "reps", _positive(self.reps, "reps"))
+    def __init__(self, t: float, reps: int = 1) -> None:
+        self._init(_finite(t, "t"), _positive(reps, "reps"))
 
 
 def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> QuantumCircuit:
@@ -72,9 +71,9 @@ def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> Qua
     if not support:
         raise ValueError("support must not be empty")
     if any(b <= a for a, b in zip(support, support[1:])):
-        raise ValueError(f"support must be strictly ascending, got {support}")
+        raise ValueError(f"support must be strictly ascending, got {_shown(support)}")
     if support[0] < 0 or support[-1] >= n_qubits:
-        raise ValueError(f"support {support} out of range for {n_qubits} qubits")
+        raise ValueError(f"support {_shown(support)} out of range for {_shown(n_qubits)} qubits")
     return QuantumCircuit(n_qubits, _ladder(support, _finite(theta, "rz angle")))
 
 
@@ -137,7 +136,7 @@ def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumC
     exponential is the pure phase exp(-i*t*w), kept in global_phase.
     """
     if not isinstance(term, PauliTerm):
-        raise TypeError(f"term must be a PauliTerm, got {term!r}")
+        raise TypeError(f"term must be a PauliTerm, got {_shown(term)}")
     return trotter_circuit(Hamiltonian(term.n_qubits, (term,)), EvolutionParams(t), variant)
 
 
@@ -155,11 +154,11 @@ def _product(
     ``reps`` times; with ``compact``, the survivors of :func:`_cancel` on it.
     """
     if not isinstance(h, Hamiltonian):
-        raise TypeError(f"h must be a Hamiltonian, got {h!r}")
+        raise TypeError(f"h must be a Hamiltonian, got {_shown(h)}")
     if not isinstance(params, EvolutionParams):
-        raise TypeError(f"params must be EvolutionParams, got {params!r}")
+        raise TypeError(f"params must be EvolutionParams, got {_shown(params)}")
     if not isinstance(variant, SynthVariant):
-        raise ValueError(f"unknown synthesis variant {variant!r}")
+        raise ValueError(f"unknown synthesis variant {_shown(variant)}")
     t = params.t / params.reps
     angles = [2.0 * t * term.coefficient for term in h.terms]
     for term, angle in zip(h.terms, angles):

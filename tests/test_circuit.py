@@ -1,7 +1,6 @@
 """Gate/circuit IR: construction, dagger, counts, and peephole cancellation."""
 
 import tracemalloc
-from dataclasses import FrozenInstanceError
 from random import Random
 
 import numpy as np
@@ -84,7 +83,7 @@ def test_gates_have_no_dict_and_trusted_gates_equal_validated_ones():
         assert not hasattr(trusted, "__dict__") and not hasattr(validated, "__dict__")
         assert trusted == validated and hash(trusted) == hash(validated)
         assert repr(trusted) == repr(validated)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="'kind'"):
             trusted.kind = "s"
     h = Hamiltonian(3, (PauliTerm(0.4, PauliString.from_label("XYZ")),))
     for variant in SynthVariant:

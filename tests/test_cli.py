@@ -248,6 +248,15 @@ def test_parse_error_exits_1_with_position_on_stderr(capsys):
     assert "offset 7" in captured.err
 
 
+def test_over_long_qubit_index_is_a_parse_error(capsys):
+    rc = run_cli(["synth", "--ham", "Z" + "9" * 5000, "--n", "2", "--t", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == (
+        "parse error at offset 1: qubit index of 5000 digits out of range for 2 qubits\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,7 @@
 """Compiling never loads numpy: only the dense oracle, and so ``verify``, does.
+Nor does it load ``dataclasses`` or ``inspect``, which would cost every
+compile process more start-up than the package itself, or, with no ``site``
+to load it first, ``typing``.
 
 Each check runs in a fresh interpreter, since this test session has long
 imported numpy.
@@ -27,7 +30,8 @@ for argv in (
     ["stats", "--ham", "1*Y1 Y3 X5", "--n", "6", "--t", "0.7"],
 ):
     assert run_cli(argv) == 0, argv
-    assert "numpy" not in sys.modules, f"loaded by {argv[0]}"
+    for module in ("numpy", "dataclasses", "inspect"):
+        assert module not in sys.modules, f"{module} loaded by {argv[0]}"
 
 assert run_cli(["verify", "--ham", "1*Y1 Y3 X5", "--n", "6", "--t", "0.7"]) == 0
 assert run_cli(["verify", "--ham", "1*Z0 + 1*X0", "--n", "1", "--t", "0.7", "--exact"]) == 2
@@ -49,6 +53,20 @@ else:
 print("ok", file=sys.stderr)
 """
 
+# run under python -S, where site loads nothing before the package
+BARE_SCRIPT = r"""
+import sys
+
+from pauliexp.cli import run_cli
+
+argv = ["trotter", "--ham", "0.5*Z0 Z1 + 0.3*X0", "--n", "2", "--t", "1.0", "--reps", "4",
+        "--compact"]
+assert run_cli(argv) == 0
+loaded = {"typing", "dataclasses", "inspect", "numpy"} & set(sys.modules)
+assert not loaded, sorted(loaded)
+print("ok", file=sys.stderr)
+"""
+
 
 def test_compile_path_leaves_numpy_unloaded():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -61,3 +79,14 @@ def test_compile_path_leaves_numpy_unloaded():
     assert result.stdout.count("OPENQASM 2.0;") == 2
     verdicts = [line.split()[-1] for line in result.stdout.splitlines()[-2:]]
     assert verdicts == ["PASS", "FAIL"]
+
+
+def test_bare_interpreter_compiles_without_typing_dataclasses_or_inspect():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", BARE_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "ok\n"
+    assert result.stdout.count("OPENQASM 2.0;") == 1

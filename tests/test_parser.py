@@ -81,6 +81,8 @@ def test_whitespace_and_comments_ignored():
         ("--Z0", 2, "expected a Pauli factor"),
         ("Z0 X1 Y2 extra", 3, "unknown token"),
         ("\u0662*Z\u0661", 3, "unknown token"),  # Arabic-Indic digits read 2*Z1
+        ("Z0 X" + "9" * 5000, 2, "qubit index of 5000 digits out of range for 2 qubits"),
+        ("Z" + "0" * 5000 + "12", 12, "qubit index 12 out of range"),
     ],
 )
 def test_rejected_inputs_carry_positions(text, n, fragment):
@@ -88,6 +90,17 @@ def test_rejected_inputs_carry_positions(text, n, fragment):
         parse_hamiltonian(text, n)
     assert fragment in err.value.message
     assert 0 <= err.value.position <= len(text)
+
+
+def test_qubit_indices_may_have_leading_zeros_and_long_ones_are_not_read():
+    assert labels(parse_hamiltonian("Z007 X" + "0" * 5000 + "1", 8)) == [(1.0, "IXIIIIIZ")]
+    with pytest.raises(ParseError) as err:
+        parse_hamiltonian("Z1 Y" + "0" * 10 + "10", 9)
+    assert err.value.position == 4
+    assert err.value.message == "qubit index 10 out of range for 9 qubits"
+    with pytest.raises(ParseError) as err:
+        parse_hamiltonian("Z" + "9" * 5000, 10**5000)
+    assert err.value.position == 1 and "9999" not in err.value.message
 
 
 def test_unknown_character_outranks_an_earlier_grammar_error():

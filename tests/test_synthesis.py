@@ -329,6 +329,9 @@ def test_evolution_params_rejects_complex_and_text_t(bad):
         EvolutionParams(bad)
 
 
+LONG = "-<int of 16610 bits>"  # -10**5000, past str()'s digit limit
+
+
 @pytest.mark.parametrize(
     "build, fragment",
     [
@@ -339,6 +342,14 @@ def test_evolution_params_rejects_complex_and_text_t(bad):
         (lambda: Hamiltonian(0), "n_qubits must be positive"),
         (lambda: parse_hamiltonian("Z0", 0), "n_qubits must be positive"),
         (lambda: EvolutionParams(1.0, 0), "reps must be "),
+        (lambda: Gate.h(-(10**5000)), f"negative qubit index in ({LONG},)"),
+        (
+            lambda: QuantumCircuit(1, (Gate.h(10**5000),)),
+            "gate h(<int of 16610 bits>) touches qubit <int of 16610 bits>, circuit has 1",
+        ),
+        (lambda: QuantumCircuit(-(10**5000)), f"n_qubits must be positive, got {LONG}"),
+        (lambda: Hamiltonian(-(10**5000)), f"n_qubits must be positive, got {LONG}"),
+        (lambda: EvolutionParams(1.0, -(10**5000)), f"reps must be positive, got {LONG}"),
     ],
     ids=[
         "gate-arity",
@@ -348,6 +359,11 @@ def test_evolution_params_rejects_complex_and_text_t(bad):
         "hamiltonian-no-qubits",
         "parse-no-qubits",
         "params-no-reps",
+        "gate-long-negative-qubit",
+        "circuit-long-qubit",
+        "circuit-long-negative-count",
+        "hamiltonian-long-negative-count",
+        "params-long-negative-reps",
     ],
 )
 def test_rejected_values_are_named_first(build, fragment):

@@ -102,8 +102,7 @@ def test_value_type_contract(case):
         assert type(clone) is cls and clone == value and hash(clone) == hash(value)
         assert repr(clone) == text
 
-    if not weak:
-        assert not hasattr(value, "__dict__")
+    assert not hasattr(value, "__dict__")
     if weak:
         assert weakref.ref(value)() is value
     else:
