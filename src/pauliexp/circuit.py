@@ -50,13 +50,18 @@ def _fits_str(value: int) -> bool:
 
 def _shown(value: object) -> str:
     """``repr(value)`` for a message, but an int too long for ``str()``, alone
-    or in a tuple, shows as its bit length: naming a value never fails."""
+    or in a tuple, shows as its bit length, and another value whose ``repr``
+    raises ValueError (a list of such ints) by its type: naming a value
+    never fails."""
     if isinstance(value, tuple):
         shown = ", ".join(map(_shown, value))
         return f"({shown},)" if len(value) == 1 else f"({shown})"
     if isinstance(value, int) and not _fits_str(value):
         return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
-    return repr(value)
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} that repr() rejects>"
 
 
 def _as_int(value: object, what: str) -> int:
@@ -100,7 +105,8 @@ class _Value:
     in ``__match_args__``, keeps them in ``__slots__`` and sets them in its
     constructor through :meth:`_init`. Equality and the hash are those of the
     field tuple, ``repr`` shows the fields by name, and pickle and copy set
-    the fields again without the constructor's checks."""
+    the fields again by name, without the constructor's checks, so a state
+    of another layout fails to load rather than fill the wrong fields."""
 
     __slots__ = ()
 
@@ -130,11 +136,11 @@ class _Value:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __getstate__(self) -> tuple:
-        return self._fields(self)
+    def __getstate__(self) -> dict[str, object]:
+        return {name: getattr(self, name) for name in self.__match_args__}
 
-    def __setstate__(self, state: tuple) -> None:
-        self._init(*state)
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self._init(*[state[name] for name in self.__match_args__])
 
 
 class Gate(_Value):

@@ -427,6 +427,11 @@ def test_rejected_values_are_named_first(build, fragment):
         (lambda: exp_pauli_closed_form(Z_STRING, 10**400), ValueError, f"^t must be finite{PAST}"),
         (lambda: matrix_exponential(np.eye(2), 10**400), ValueError, f"^t must be finite{PAST}"),
         (lambda: EvolutionParams(10**5000), ValueError, f"^t must be finite{PAST}"),
+        (
+            lambda: EvolutionParams([10**5000]),
+            TypeError,
+            "^t must be a real number, got <list that repr\\(\\) rejects>$",
+        ),
         (lambda: EvolutionParams(np.complex64(1 + 2j)), TypeError, "^t must be a real number"),
         (
             lambda: PauliTerm(np.complex64(0.5 + 1j), Z_STRING),
@@ -492,6 +497,7 @@ def test_rejected_values_are_named_first(build, fragment):
         "closed-form-huge-int-t",
         "expm-huge-int-t",
         "params-int-past-repr-limit-t",
+        "params-list-past-repr-limit-t",
         "params-numpy-complex-t",
         "term-numpy-complex-coefficient",
         "rz-numpy-clongdouble-angle",
