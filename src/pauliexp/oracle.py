@@ -19,8 +19,8 @@ per ``verify``, and both run on every block without allocating.
 from __future__ import annotations
 
 import math
-from functools import partial
 from collections.abc import Callable, Iterable, Iterator
+from functools import partial
 
 import numpy as np
 
