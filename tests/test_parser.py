@@ -65,31 +65,34 @@ def test_whitespace_and_comments_ignored():
 
 
 @pytest.mark.parametrize(
-    "text,n,fragment",
+    "text,n,position,fragment",
     [
-        ("", 2, "empty input"),
-        ("   # only a comment", 2, "empty input"),
-        ("0.5*Z0 &", 2, "unknown token"),
-        ("Z5", 2, "out of range"),
-        ("0.5 Z0", 2, "expected '*'"),
-        ("0.5*", 2, "expected a Pauli factor"),
-        ("Z0 +", 2, "expected a Pauli factor"),
-        ("Z0 Z1 Z0", 2, "assigned twice"),
-        ("Z", 2, "expected a qubit index"),
-        ("Z0.5", 2, "expected a qubit index"),
-        ("1e999*Z0", 2, "not finite"),
-        ("--Z0", 2, "expected a Pauli factor"),
-        ("Z0 X1 Y2 extra", 3, "unknown token"),
-        ("\u0662*Z\u0661", 3, "unknown token"),  # Arabic-Indic digits read 2*Z1
-        ("Z0 X" + "9" * 5000, 2, "qubit index of 5000 digits out of range for 2 qubits"),
-        ("Z" + "0" * 5000 + "12", 12, "qubit index 12 out of range"),
+        ("", 2, 0, "empty input"),
+        ("   # only a comment", 2, 19, "empty input"),
+        ("0.5*Z0 &", 2, 7, "unknown token"),
+        ("Z5", 2, 1, "out of range"),
+        ("0.5 Z0", 2, 4, "expected '*'"),
+        ("0.5*", 2, 4, "expected a Pauli factor, got 'end of input'"),
+        ("Z0 +", 2, 4, "expected a Pauli factor"),
+        ("Z0 Z1 Z0", 2, 6, "assigned twice"),
+        ("Z", 2, 1, "expected a qubit index"),
+        ("Z0.5", 2, 1, "expected a qubit index"),
+        ("1e999*Z0", 2, 0, "not finite"),
+        ("--Z0", 2, 1, "expected a Pauli factor"),
+        ("Z0 X1 Y2 extra", 3, 9, "unknown token"),
+        ("\u0662*Z\u0661", 3, 0, "unknown token"),  # Arabic-Indic digits read 2*Z1
+        ("Z0 X" + "9" * 5000, 2, 4, "qubit index of 5000 digits out of range for 2 qubits"),
+        ("Z" + "0" * 5000 + "12", 12, 1, "qubit index 12 out of range"),
+        ("Z0 Z1 3", 2, 6, "expected '+' or '-', got '3'"),
+        ("1*Z0 * Z1", 2, 5, "expected '+' or '-', got '*'"),
+        ("Id", 2, 0, "'Id' requires an explicit coefficient"),
     ],
 )
-def test_rejected_inputs_carry_positions(text, n, fragment):
+def test_rejected_inputs_carry_positions(text, n, position, fragment):
     with pytest.raises(ParseError) as err:
         parse_hamiltonian(text, n)
     assert fragment in err.value.message
-    assert 0 <= err.value.position <= len(text)
+    assert err.value.position == position
 
 
 def test_qubit_indices_may_have_leading_zeros_and_long_ones_are_not_read():
