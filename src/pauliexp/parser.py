@@ -27,9 +27,6 @@ from collections.abc import Iterator
 from .circuit import _fits_str, _positive, _shown
 from .paulis import Hamiltonian, PauliString, PauliTerm
 
-_INT_RE = re.compile(r"[0-9]+$")
-
-
 class ParseError(ValueError):
     """Syntax error with the character offset it was detected at."""
 
@@ -39,42 +36,34 @@ class ParseError(ValueError):
         self.message = message
 
 
-class _Token:
-    __slots__ = ("kind", "text", "position")
-
-    def __init__(self, kind: str, text: str, position: int) -> None:
-        self.kind = kind  # NUMBER | PAULI | ID | STAR | PLUS | MINUS | EOF
-        self.text = text
-        self.position = position
-
-
-# whitespace and comments match no named group and yield no token; digits
-# are ASCII, as \d would also match the other Unicode digits
+# A token is the match itself: its kind is m.lastgroup, its text m[0] and
+# its offset m.start(). Whitespace and comments match no named group and
+# yield no token; digits are ASCII, as \d would also match the other Unicode
+# digits; EOF matches only at the end, after the whitespace before it.
 _TOKEN_RE = re.compile(
     r"\s+|#[^\n]*"
     r"|(?P<PAULI>[XYZ])|(?P<ID>Id)|(?P<STAR>\*)|(?P<PLUS>\+)|(?P<MINUS>-)"
-    r"|(?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)|(?P<EOF>\Z)"
 )
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    """Yield the tokens of ``text`` on demand, then one EOF token.
+def _tokenize(text: str) -> Iterator[re.Match[str]]:
+    """Yield the tokens of ``text`` on demand, the last of kind EOF.
 
     Raises ParseError at the first character that starts no token.
     """
-    i, n = 0, len(text)
-    while i < n:
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(i, f"unknown token {text[i]!r}")
+    i = 0
+    while m := _TOKEN_RE.match(text, i):
         if m.lastgroup:
-            yield _Token(m.lastgroup, m.group(), i)
+            yield m
+            if m.lastgroup == "EOF":
+                return
         i = m.end()
-    yield _Token("EOF", "", n)
+    raise ParseError(i, f"unknown token {text[i]!r}")
 
 
 class _Parser:
-    def __init__(self, tokens: Iterator[_Token], n_qubits: int) -> None:
+    def __init__(self, tokens: Iterator[re.Match[str]], n_qubits: int) -> None:
         self.tokens = tokens
         self.here = next(tokens)
         self.n_qubits = n_qubits
@@ -85,27 +74,27 @@ class _Parser:
             len(str(n_qubits)) if _fits_str(n_qubits) else sys.get_int_max_str_digits()
         )
 
-    def advance(self) -> _Token:
+    def advance(self) -> re.Match[str]:
         tok = self.here
         self.here = next(self.tokens, tok)  # EOF stays put once the stream ends
         return tok
 
     def parse(self) -> Hamiltonian:
-        if self.here.kind == "EOF":
-            raise ParseError(self.here.position, "empty input")
+        if self.here.lastgroup == "EOF":
+            raise ParseError(self.here.start(), "empty input")
         terms = [self.term(negated=self._eat_minus())]
-        while self.here.kind != "EOF":
+        while self.here.lastgroup != "EOF":
             conn = self.advance()
-            if conn.kind == "PLUS":
+            if conn.lastgroup == "PLUS":
                 terms.append(self.term(negated=self._eat_minus()))
-            elif conn.kind == "MINUS":
+            elif conn.lastgroup == "MINUS":
                 terms.append(self.term(negated=not self._eat_minus()))
             else:
-                raise ParseError(conn.position, f"expected '+' or '-', got {conn.text!r}")
+                raise ParseError(conn.start(), f"expected '+' or '-', got {conn[0]!r}")
         return Hamiltonian(self.n_qubits, tuple(terms))
 
     def _eat_minus(self) -> bool:
-        if self.here.kind == "MINUS":
+        if self.here.lastgroup == "MINUS":
             self.advance()
             return True
         return False
@@ -113,50 +102,50 @@ class _Parser:
     def term(self, negated: bool) -> PauliTerm:
         coeff = 1.0
         explicit_coeff = False
-        if self.here.kind == "NUMBER":
+        if self.here.lastgroup == "NUMBER":
             tok = self.advance()
-            coeff = float(tok.text)
+            coeff = float(tok[0])
             if not math.isfinite(coeff):
-                raise ParseError(tok.position, f"coefficient {tok.text!r} is not finite")
+                raise ParseError(tok.start(), f"coefficient {tok[0]!r} is not finite")
             star = self.advance()
-            if star.kind != "STAR":
-                raise ParseError(star.position, "expected '*' after coefficient")
+            if star.lastgroup != "STAR":
+                raise ParseError(star.start(), "expected '*' after coefficient")
             explicit_coeff = True
         if negated:
             coeff = -coeff
 
-        if self.here.kind == "ID":
+        if self.here.lastgroup == "ID":
             tok = self.advance()
             if not explicit_coeff:
-                raise ParseError(tok.position, "'Id' requires an explicit coefficient")
+                raise ParseError(tok.start(), "'Id' requires an explicit coefficient")
             return PauliTerm(coeff, PauliString._from_masks(self.n_qubits, 0, 0))
 
-        if self.here.kind != "PAULI":
+        if self.here.lastgroup != "PAULI":
             raise ParseError(
-                self.here.position,
-                f"expected a Pauli factor, got {self.here.text or 'end of input'!r}",
+                self.here.start(),
+                f"expected a Pauli factor, got {self.here[0] or 'end of input'!r}",
             )
         x = z = 0
-        while self.here.kind == "PAULI":
+        while self.here.lastgroup == "PAULI":
             factor = self.advance()
             idx_tok = self.advance()
-            if idx_tok.kind != "NUMBER" or not _INT_RE.match(idx_tok.text):
-                raise ParseError(idx_tok.position, f"expected a qubit index after '{factor.text}'")
-            digits = idx_tok.text.lstrip("0") or "0"
+            if idx_tok.lastgroup != "NUMBER" or not idx_tok[0].isdigit():
+                raise ParseError(idx_tok.start(), f"expected a qubit index after '{factor[0]}'")
+            digits = idx_tok[0].lstrip("0") or "0"
             index = int(digits) if len(digits) <= self.index_digits else None
             if index is None or index >= self.n_qubits:
                 limit = sys.get_int_max_str_digits()  # a message shows no more digits
                 shown = digits if not limit or len(digits) <= limit else f"of {len(digits)} digits"
                 raise ParseError(
-                    idx_tok.position,
+                    idx_tok.start(),
                     f"qubit index {shown} out of range for {_shown(self.n_qubits)} qubits",
                 )
             bit = 1 << index
             if (x | z) & bit:
-                raise ParseError(factor.position, f"qubit {index} assigned twice in one term")
-            if factor.text != "Z":
+                raise ParseError(factor.start(), f"qubit {index} assigned twice in one term")
+            if factor[0] != "Z":
                 x |= bit
-            if factor.text != "X":
+            if factor[0] != "X":
                 z |= bit
         return PauliTerm(coeff, PauliString._from_masks(self.n_qubits, x, z))
 

@@ -1,4 +1,5 @@
-"""OpenQASM 2.0 emission. Write-only: no parsing, no measurement statements.
+"""OpenQASM 2.0 emission, and a validator for the documents it emits. No
+measurement statements.
 
 All seven gates of the IR alphabet exist in qelib1.inc, so no custom gate
 definitions are needed. Angles print with 17 significant digits for
@@ -22,12 +23,8 @@ _HEADER = ('OPENQASM 2.0;', 'include "qelib1.inc";')
 _QREG = r"qreg q\[([1-9][0-9]*)\];$"
 _NUMBER = r"(-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
 _INDEX = r"q\[(0|[1-9][0-9]*)\]"
-_ROTATION = rf"(?:rz|rx)\({_NUMBER}\) {_INDEX};$"  # groups: angle, qubit
-_STATEMENTS = (  # the groups of the other two capture qubit indices only
-    rf"(?:h|s|sdg) {_INDEX};$",
-    _ROTATION,
-    rf"(?:cx|cz) {_INDEX},{_INDEX};$",
-)
+# groups: the rotation angle, then the qubit indices; those the line lacks are None
+_STATEMENT = rf"(?:h|s|sdg|(?:rz|rx)\({_NUMBER}\)) {_INDEX};$|(?:cx|cz) {_INDEX},{_INDEX};$"
 _PHASE = rf"// global phase: {_NUMBER}$"
 
 
@@ -80,21 +77,20 @@ def validate_qasm(text: str) -> None:
     qreg = re.match(_QREG, lines[2]) if len(lines) > 2 else None
     if not qreg:
         raise ValueError("expected a qreg declaration after the header")
-    size = int(qreg[1])
+    size = qreg[1]
     body = lines[3:]
     if body and (phase := re.match(_PHASE, body[-1])):
         if not math.isfinite(float(phase[1])):
             raise ValueError(f"line {len(lines)} needs a finite global phase: {body[-1]!r}")
         body.pop()
     for lineno, line in enumerate(body, start=4):
-        match = next(filter(None, (re.match(pattern, line) for pattern in _STATEMENTS)), None)
+        match = re.match(_STATEMENT, line)
         if not match:
             raise ValueError(f"line {lineno} is not a supported statement: {line!r}")
-        indices = match.groups()
-        if match.re.pattern == _ROTATION:
-            angle, *indices = indices
-            if not math.isfinite(float(angle)):
-                raise ValueError(f"line {lineno} needs a finite angle: {line!r}")
-        qubits = [int(index) for index in indices]
-        if max(qubits, default=0) >= size or len(set(qubits)) != len(qubits):
+        angle, *indices = match.groups()
+        if angle is not None and not math.isfinite(float(angle)):
+            raise ValueError(f"line {lineno} needs a finite angle: {line!r}")
+        # with no leading zeros, digit strings order as numbers by length, then text
+        qubits = [(len(index), index) for index in indices if index is not None]
+        if max(qubits) >= (len(size), size) or len(set(qubits)) != len(qubits):
             raise ValueError(f"line {lineno} needs distinct qubits below {size}: {line!r}")

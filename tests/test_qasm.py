@@ -80,6 +80,10 @@ def test_emission_is_deterministic():
     assert emit_qasm(c) == emit_qasm(c)
 
 
+def test_validator_reads_indices_past_the_int_digit_limit():
+    validate_qasm(HEADER + f"qreg q[{'9' * 5000}];\nh q[{'9' * 4999}];\n")
+
+
 def test_emitted_documents_always_validate():
     rng = Random(51)
     for _ in range(40):
@@ -110,6 +114,9 @@ def test_emitted_documents_always_validate():
         ),
         (HEADER + "qreg q[1];\nrz(1e999) q[0];\n", "line 4 needs a finite angle"),
         (HEADER + "qreg q[1];\nh q[0];\n// global phase: -1e999\n", "line 5 needs a finite"),
+        # digits past int()'s string limit are compared as text, never converted
+        (HEADER + "qreg q[2];\nh q[" + "9" * 5000 + "];\n", "line 4 needs distinct qubits below 2"),
+        (HEADER + f"qreg q[{'9' * 5000}];\nh q[{'9' * 5000}];\n", "line 4 needs distinct qubits"),
     ],
 )
 def test_validator_rejects_malformed_documents(text, fragment):
