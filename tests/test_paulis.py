@@ -13,6 +13,7 @@ def test_from_label_transcribes_each_character():
     p = PauliString.from_label("IXZY")
     assert p.ops == (PauliOp.I, PauliOp.X, PauliOp.Z, PauliOp.Y)
     assert p.n_qubits == 4
+    assert p[1:3] == p.ops[1:3] and p[::-1] == p.ops[::-1]
 
 
 def test_from_label_single_qubit():
@@ -25,6 +26,7 @@ def test_from_label_six_qubit_yyx():
     # Y on qubits 1 and 3, X on qubit 5
     p = PauliString.from_label("IYIYIX")
     assert p[1] is PauliOp.Y and p[3] is PauliOp.Y and p[5] is PauliOp.X
+    assert str(p[1]) == f"{p[1]}" == "Y"
     assert all(p[k] is PauliOp.I for k in (0, 2, 4))
 
 
