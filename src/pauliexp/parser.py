@@ -27,6 +27,7 @@ from collections.abc import Iterator
 from .circuit import _fits_str, _positive, _shown
 from .paulis import Hamiltonian, PauliString, PauliTerm
 
+
 class ParseError(ValueError):
     """Syntax error with the character offset it was detected at."""
 
@@ -39,7 +40,7 @@ class ParseError(ValueError):
 # A token is the match itself: its kind is m.lastgroup, its text m[0] and
 # its offset m.start(). Whitespace and comments match no named group and
 # yield no token; digits are ASCII, as \d would also match the other Unicode
-# digits; EOF matches only at the end, after the whitespace before it.
+# digits; EOF matches the empty string at the end of the text.
 _TOKEN_RE = re.compile(
     r"\s+|#[^\n]*"
     r"|(?P<PAULI>[XYZ])|(?P<ID>Id)|(?P<STAR>\*)|(?P<PLUS>\+)|(?P<MINUS>-)"
@@ -129,6 +130,7 @@ class _Parser:
         while self.here.lastgroup == "PAULI":
             factor = self.advance()
             idx_tok = self.advance()
+            # a NUMBER is ASCII, so isdigit() accepts exactly the runs of 0-9
             if idx_tok.lastgroup != "NUMBER" or not idx_tok[0].isdigit():
                 raise ParseError(idx_tok.start(), f"expected a qubit index after '{factor[0]}'")
             digits = idx_tok[0].lstrip("0") or "0"
