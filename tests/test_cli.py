@@ -248,6 +248,15 @@ def test_parse_error_exits_1_with_position_on_stderr(capsys):
     assert "offset 7" in captured.err
 
 
+def test_synth_at_the_qubit_cap_edge(capsys):
+    rc = run_cli(["synth", "--ham", "Z16777215", "--n", "16777216", "--t", "1"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    assert captured.out == (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[16777216];\nrz(2) q[16777215];\n'
+    )
+
+
 def test_over_long_qubit_index_is_a_parse_error(capsys):
     rc = run_cli(["synth", "--ham", "Z" + "9" * 5000, "--n", "2", "--t", "1"])
     captured = capsys.readouterr()

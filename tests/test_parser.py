@@ -106,6 +106,12 @@ def test_qubit_indices_may_have_leading_zeros_and_long_ones_are_not_read():
     assert err.value.position == 1 and "9999" not in err.value.message
 
 
+def test_qubit_index_just_below_the_cap_is_read():
+    h = parse_hamiltonian("Z16777215 X0", 2**24)
+    string = h.terms[0].string
+    assert (string.x, string.z) == (1, 1 << (2**24 - 1))
+
+
 def test_unknown_character_outranks_an_earlier_grammar_error():
     # the whole text is tokenized before a grammar error is reported
     with pytest.raises(ParseError) as err:

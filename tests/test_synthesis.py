@@ -329,6 +329,18 @@ def test_evolution_params_rejects_complex_and_text_t(bad):
         EvolutionParams(bad)
 
 
+def test_values_at_the_qubit_cap_edge_build():
+    top = 2**24 - 1
+    assert Gate.h(top).qubits == (top,)
+    assert QuantumCircuit(2**24, (Gate.h(top),)).n_qubits == 2**24
+    assert Hamiltonian(2**24).n_qubits == 2**24
+    assert synth_z_rotation(2**24, [0, top], 1.0).gates == (
+        Gate.cx(top, 0),
+        Gate.rz(0, 1.0),
+        Gate.cx(top, 0),
+    )
+
+
 LONG = "-<int of 16610 bits>"  # -10**5000, past str()'s digit limit
 
 
