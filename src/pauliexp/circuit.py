@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections import defaultdict
 from collections.abc import Iterable
 
@@ -41,23 +40,15 @@ _ROTATIONS = frozenset({RZ, RX})
 _INVERSE_KIND = {H: H, S: SDG, SDG: S, CX: CX, CZ: CZ}
 
 
-def _fits_str(value: int) -> bool:
-    """Whether ``str()`` takes the int: it has at most
-    ``sys.get_int_max_str_digits()`` digits, where 0 means no limit."""
-    limit = sys.get_int_max_str_digits()
-    return not limit or value.bit_length() <= 3 * limit or abs(value) < 10**limit
+# the qubit cap: counts are at most MAX_QUBITS and indices below it, so a qubit
+# int has at most 8 digits and a Pauli mask at most 2 MiB
+MAX_QUBITS = 2**24
 
 
 def _shown(value: object) -> str:
-    """``repr(value)`` for a message, but an int too long for ``str()``, alone
-    or in a tuple, shows as its bit length, and another value whose ``repr``
-    raises ValueError (a list of such ints) by its type: naming a value
-    never fails."""
-    if isinstance(value, tuple):
-        shown = ", ".join(map(_shown, value))
-        return f"({shown},)" if len(value) == 1 else f"({shown})"
-    if isinstance(value, int) and not _fits_str(value):
-        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+    """``repr(value)`` for a message, but a value whose ``repr`` raises
+    ValueError (an int too long for ``str()``) shows by its type: naming a
+    value never fails."""
     try:
         return repr(value)
     except ValueError:
@@ -71,11 +62,13 @@ def _as_int(value: object, what: str) -> int:
     return operator.index(value)
 
 
-def _positive(value: object, what: str) -> int:
-    """``value`` as an int of at least 1, taken as :func:`_as_int` takes it."""
+def _positive(value: object, what: str, cap: int | None = None) -> int:
+    """``value`` as an int from 1 to ``cap``, if given, taken as :func:`_as_int` takes it."""
     count = _as_int(value, what)
     if count < 1:
         raise ValueError(f"{what} must be positive, got {_shown(count)}")
+    if cap is not None and count > cap:
+        raise ValueError(f"{what} must be at most {cap}")
     return count
 
 
@@ -159,6 +152,8 @@ class Gate(_Value):
             raise ValueError(f"{kind} takes {expected} qubit(s), got {_shown(qubits)}")
         if min(qubits) < 0:
             raise ValueError(f"negative qubit index in {_shown(qubits)}")
+        if max(qubits) >= MAX_QUBITS:
+            raise ValueError(f"qubit index must be below {MAX_QUBITS}")
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"repeated qubit index in {_shown(qubits)}")
         if kind in _ROTATIONS:
@@ -235,16 +230,14 @@ class QuantumCircuit(_Value):
     def __init__(
         self, n_qubits: int, gates: Iterable[Gate] = (), global_phase: float = 0.0
     ) -> None:
-        n_qubits = _positive(n_qubits, "n_qubits")
+        n_qubits = _positive(n_qubits, "n_qubits", MAX_QUBITS)
         gates = tuple(gates)
         for gate in gates:
             if not isinstance(gate, Gate):
                 raise TypeError(f"gates must be Gate values, got {_shown(gate)}")
             for q in gate.qubits:
                 if q >= n_qubits:
-                    raise ValueError(
-                        f"gate {gate!r} touches qubit {_shown(q)}, circuit has {_shown(n_qubits)}"
-                    )
+                    raise ValueError(f"gate {gate!r} touches qubit {q}, circuit has {n_qubits}")
         self._init(n_qubits, gates, _finite(global_phase, "global_phase"))
 
     def dagger(self) -> QuantumCircuit:

@@ -203,14 +203,14 @@ def run_cli(argv: Sequence[str]) -> int:
     try:
         ns = parser.parse_args(_attach_values(argv))
         h = _load_hamiltonian(ns)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except ParseError as exc:
         print(f"parse error at offset {exc.position}: {exc.message}", file=sys.stderr)
         return 1
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read Hamiltonian file: {exc}", file=sys.stderr)
+        return 1
+    except (_UsageError, ValueError) as exc:  # the ValueError: --n past the qubit cap
+        print(f"usage error: {exc}", file=sys.stderr)
         return 1
 
     try:

@@ -49,7 +49,7 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
 
 def _check_qubit_cap(n: int, cap: int = MAX_DENSE_QUBITS, what: str = "dense-matrix") -> None:
     if n > cap:
-        raise ValueError(f"{_shown(n)} qubits exceeds the {what} cap of {cap}")
+        raise ValueError(f"{n} qubits exceeds the {what} cap of {cap}")
 
 
 def _msb_first(mask: int, n: int) -> int:

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from collections.abc import Iterator
 
-from .circuit import _fits_str, _positive, _shown
+from .circuit import MAX_QUBITS, _positive
 from .paulis import Hamiltonian, PauliString, PauliTerm
 
 
@@ -68,12 +67,6 @@ class _Parser:
         self.tokens = tokens
         self.here = next(tokens)
         self.n_qubits = n_qubits
-        # an index with more significant digits than n_qubits is out of range,
-        # found without int(); the count is capped at int()'s digit limit,
-        # since no mask bit has an index past it
-        self.index_digits = (
-            len(str(n_qubits)) if _fits_str(n_qubits) else sys.get_int_max_str_digits()
-        )
 
     def advance(self) -> re.Match[str]:
         tok = self.here
@@ -134,13 +127,11 @@ class _Parser:
             if idx_tok.lastgroup != "NUMBER" or not idx_tok[0].isdigit():
                 raise ParseError(idx_tok.start(), f"expected a qubit index after '{factor[0]}'")
             digits = idx_tok[0].lstrip("0") or "0"
-            index = int(digits) if len(digits) <= self.index_digits else None
-            if index is None or index >= self.n_qubits:
-                limit = sys.get_int_max_str_digits()  # a message shows no more digits
-                shown = digits if not limit or len(digits) <= limit else f"of {len(digits)} digits"
+            # n_qubits <= MAX_QUBITS has 8 digits: int() never reads a longer index
+            index = int(digits) if len(digits) <= 8 else self.n_qubits
+            if index >= self.n_qubits:
                 raise ParseError(
-                    idx_tok.start(),
-                    f"qubit index {shown} out of range for {_shown(self.n_qubits)} qubits",
+                    idx_tok.start(), f"qubit index {digits} out of range for {self.n_qubits} qubits"
                 )
             bit = 1 << index
             if (x | z) & bit:
@@ -157,9 +148,10 @@ def parse_hamiltonian(text: str, n_qubits: int) -> Hamiltonian:
 
     Terms appear in the result in source order. Raises :class:`ParseError`
     on any input outside the grammar, ValueError on an ``n_qubits`` that is
-    not a positive int and TypeError on a ``text`` that is not a str.
+    not a positive int of at most ``MAX_QUBITS`` and TypeError on a ``text``
+    that is not a str.
     """
-    n_qubits = _positive(n_qubits, "n_qubits")
+    n_qubits = _positive(n_qubits, "n_qubits", MAX_QUBITS)
     if not isinstance(text, str):
         raise TypeError(f"text must be a str, got {type(text).__name__}")
     tokens = _tokenize(text)

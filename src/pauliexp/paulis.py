@@ -17,7 +17,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
-from .circuit import _finite, _positive, _shown, _Value
+from .circuit import MAX_QUBITS, _finite, _positive, _shown, _Value
 
 
 class PauliOp(Enum):
@@ -168,7 +168,7 @@ class Hamiltonian(_Value):
     __slots__ = (*__match_args__, "__weakref__")
 
     def __init__(self, n_qubits: int, terms: Iterable[PauliTerm] = ()) -> None:
-        n_qubits = _positive(n_qubits, "n_qubits")
+        n_qubits = _positive(n_qubits, "n_qubits", MAX_QUBITS)
         terms = tuple(terms)
         for term in terms:
             if not isinstance(term, PauliTerm):
@@ -176,7 +176,7 @@ class Hamiltonian(_Value):
             if term.n_qubits != n_qubits:
                 raise ValueError(
                     f"term {term.string.to_label()!r} acts on {term.n_qubits} "
-                    f"qubits, expected {_shown(n_qubits)}"
+                    f"qubits, expected {n_qubits}"
                 )
         self._init(n_qubits, terms)
 

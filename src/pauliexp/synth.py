@@ -27,6 +27,7 @@ from enum import Enum
 from .circuit import (
     CX,
     H,
+    MAX_QUBITS,
     RZ,
     S,
     SDG,
@@ -66,14 +67,14 @@ def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> Qua
     CX(q2, q1), RZ(q1, theta), then the mirrored CX sequence: the chain
     folds the joint parity onto q1, where one RZ applies the phase.
     """
-    n_qubits = _positive(n_qubits, "n_qubits")
+    n_qubits = _positive(n_qubits, "n_qubits", MAX_QUBITS)
     support = tuple(_as_int(q, "qubit index") for q in support)
     if not support:
         raise ValueError("support must not be empty")
     if any(b <= a for a, b in zip(support, support[1:])):
         raise ValueError(f"support must be strictly ascending, got {_shown(support)}")
     if support[0] < 0 or support[-1] >= n_qubits:
-        raise ValueError(f"support {_shown(support)} out of range for {_shown(n_qubits)} qubits")
+        raise ValueError(f"support {_shown(support)} out of range for {n_qubits} qubits")
     return QuantumCircuit(n_qubits, _ladder(support, _finite(theta, "rz angle")))
 
 

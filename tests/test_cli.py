@@ -262,8 +262,19 @@ def test_over_long_qubit_index_is_a_parse_error(capsys):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == (
-        "parse error at offset 1: qubit index of 5000 digits out of range for 2 qubits\n"
+        f"parse error at offset 1: qubit index {'9' * 5000} out of range for 2 qubits\n"
     )
+
+
+@pytest.mark.parametrize(
+    "ham, n",
+    [("Z" + "9" * 30, "1" + "0" * 30), ("Z99999999", "100000000"), ("1*Z0", "16777217")],
+)
+def test_qubit_count_past_the_cap_exits_1(ham, n, capsys):
+    rc = run_cli(["synth", "--ham", ham, "--n", n, "--t", "1"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == "usage error: n_qubits must be at most 16777216\n"
 
 
 @pytest.mark.parametrize(

@@ -341,7 +341,8 @@ def test_values_at_the_qubit_cap_edge_build():
     )
 
 
-LONG = "-<int of 16610 bits>"  # -10**5000, past str()'s digit limit
+LONG = "<int that repr() rejects>"  # -10**5000, past str()'s digit limit
+CAP = 2**24 + 1  # one past MAX_QUBITS
 
 
 @pytest.mark.parametrize(
@@ -354,14 +355,16 @@ LONG = "-<int of 16610 bits>"  # -10**5000, past str()'s digit limit
         (lambda: Hamiltonian(0), "n_qubits must be positive"),
         (lambda: parse_hamiltonian("Z0", 0), "n_qubits must be positive"),
         (lambda: EvolutionParams(1.0, 0), "reps must be "),
-        (lambda: Gate.h(-(10**5000)), f"negative qubit index in ({LONG},)"),
-        (
-            lambda: QuantumCircuit(1, (Gate.h(10**5000),)),
-            "gate h(<int of 16610 bits>) touches qubit <int of 16610 bits>, circuit has 1",
-        ),
+        (lambda: Gate.h(-(10**5000)), "negative qubit index in <tuple that repr() rejects>"),
+        (lambda: QuantumCircuit(1, (Gate.h(10**5000),)), "qubit index must be below 16777216"),
         (lambda: QuantumCircuit(-(10**5000)), f"n_qubits must be positive, got {LONG}"),
         (lambda: Hamiltonian(-(10**5000)), f"n_qubits must be positive, got {LONG}"),
         (lambda: EvolutionParams(1.0, -(10**5000)), f"reps must be positive, got {LONG}"),
+        (lambda: Gate.h(2**24), "qubit index must be below 16777216"),
+        (lambda: QuantumCircuit(CAP), "n_qubits must be at most 16777216"),
+        (lambda: Hamiltonian(CAP), "n_qubits must be at most 16777216"),
+        (lambda: parse_hamiltonian("Z0", CAP), "n_qubits must be at most 16777216"),
+        (lambda: synth_z_rotation(CAP, [0], 1.0), "n_qubits must be at most 16777216"),
     ],
     ids=[
         "gate-arity",
@@ -376,6 +379,11 @@ LONG = "-<int of 16610 bits>"  # -10**5000, past str()'s digit limit
         "circuit-long-negative-count",
         "hamiltonian-long-negative-count",
         "params-long-negative-reps",
+        "gate-qubit-at-cap",
+        "circuit-count-past-cap",
+        "hamiltonian-count-past-cap",
+        "parse-count-past-cap",
+        "synth-count-past-cap",
     ],
 )
 def test_rejected_values_are_named_first(build, fragment):
