@@ -212,8 +212,8 @@ _set_kind, _set_qubits, _set_angle = (
 def _trusted_gate(kind: str, qubits: tuple[int, ...], angle: float | None = None) -> Gate:
     """A Gate built without ``__init__``, whose checks would dominate
     synthesis time. Only for internal callers whose arguments are valid by
-    construction: a known kind, a tuple of distinct non-negative ints of the
-    right length, and a finite float angle exactly for rotations."""
+    construction: a known kind, a tuple of distinct ints below MAX_QUBITS, not
+    negative, of the right length, and a finite float angle exactly for rotations."""
     gate = object.__new__(Gate)
     _set_kind(gate, kind)
     _set_qubits(gate, qubits)
