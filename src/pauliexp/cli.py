@@ -13,7 +13,6 @@ dense oracle is exceeded.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections import Counter
 from collections.abc import Sequence
@@ -64,26 +63,20 @@ def _ascii(text: str) -> str:
     return text
 
 
-def _positive_int(text: str) -> int:
-    value = int(_ascii(text))
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _int(text: str) -> int:
+    return int(_ascii(text))
 
 
-def _finite_float(text: str) -> float:
-    value = float(_ascii(text))
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+def _float(text: str) -> float:
+    return float(_ascii(text))
 
 
 def _add_common(sub: argparse.ArgumentParser, compact: bool = False, out: bool = False) -> None:
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--ham", help="Hamiltonian expression, e.g. '0.5*Z0 Z1 + 0.3*X0'")
     source.add_argument("--ham-file", help="path to a .ham file (same grammar, # comments)")
-    sub.add_argument("--n", type=_positive_int, required=True, help="number of qubits")
-    sub.add_argument("--t", type=_finite_float, required=True, help="evolution angle t")
+    sub.add_argument("--n", type=_int, required=True, help="number of qubits")
+    sub.add_argument("--t", type=_float, required=True, help="evolution angle t")
     sub.add_argument(
         "--variant",
         choices=[v.value for v in SynthVariant],
@@ -94,6 +87,7 @@ def _add_common(sub: argparse.ArgumentParser, compact: bool = False, out: bool =
         sub.add_argument("--compact", action="store_true", help="run peephole cancellation")
     if out:
         sub.add_argument("--out", help="write the QASM document here instead of stdout")
+    sub.set_defaults(reps=1)
 
 
 def _build_parser() -> _Parser:
@@ -102,11 +96,11 @@ def _build_parser() -> _Parser:
 
     synth = subs.add_parser("synth", help="synthesize one slice and emit OpenQASM")
     _add_common(synth, compact=True, out=True)
-    synth.set_defaults(run=_emit, reps=1)
+    synth.set_defaults(run=_emit)
 
     trotter = subs.add_parser("trotter", help="synthesize a Trotter product and emit OpenQASM")
     _add_common(trotter, compact=True, out=True)
-    trotter.add_argument("--reps", type=_positive_int, default=1, help="Trotter slices")
+    trotter.add_argument("--reps", type=_int, help="Trotter slices")
     trotter.set_defaults(run=_emit)
 
     verify = subs.add_parser("verify", help="check the synthesis against the matrix oracle")
@@ -134,7 +128,7 @@ def _load_hamiltonian(ns: argparse.Namespace) -> Hamiltonian:
     return parse_hamiltonian(text, ns.n)
 
 
-def _emit(ns: argparse.Namespace, h: Hamiltonian) -> int:
+def _emit(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> int:
     """Write the QASM document of the Trotter product to ``--out`` or stdout
     line by line through the stream's buffer, so the whole text never exists
     at once.
@@ -143,7 +137,6 @@ def _emit(ns: argparse.Namespace, h: Hamiltonian) -> int:
     peephole with ``--compact``. Every term is checked before the target is
     opened, so an error leaves stdout empty and creates no file.
     """
-    params = EvolutionParams(ns.t, ns.reps)
     gates, phase = _product(h, params, SynthVariant(ns.variant), ns.compact)
     lines = _qasm_lines(h.n_qubits, gates, phase)
     if ns.out:
@@ -155,7 +148,7 @@ def _emit(ns: argparse.Namespace, h: Hamiltonian) -> int:
     return 0
 
 
-def _verify(ns: argparse.Namespace, h: Hamiltonian) -> int:
+def _verify(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> int:
     # only verify needs the dense oracle, and with it numpy
     from .oracle import (
         MAX_EXPM_QUBITS,
@@ -178,19 +171,19 @@ def _verify(ns: argparse.Namespace, h: Hamiltonian) -> int:
         except ValueError as exc:
             print(f"cannot verify --exact: {exc}", file=sys.stderr)
             return 3
-    circuit = trotter_circuit(h, EvolutionParams(ns.t), SynthVariant(ns.variant))
+    circuit = trotter_circuit(h, params, SynthVariant(ns.variant))
     if ns.exact:
-        reference = matrix_exponential(hamiltonian_matrix(h), ns.t)
+        reference = matrix_exponential(hamiltonian_matrix(h), params.t)
         distance = phase_invariant_distance(circuit_unitary(circuit), reference)
     else:
-        distance = _per_term_distance(circuit, h, ns.t)
+        distance = _per_term_distance(circuit, h, params.t)
     passed = distance <= VERIFY_THRESHOLD
     print(f"{distance:.6e} {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 2
 
 
-def _stats(ns: argparse.Namespace, h: Hamiltonian) -> int:
-    gates, _ = _product(h, EvolutionParams(ns.t), SynthVariant(ns.variant), ns.compact)
+def _stats(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> int:
+    gates, _ = _product(h, params, SynthVariant(ns.variant), ns.compact)
     counts = Counter(gate.kind for gate in gates)
     for kind in GATE_KINDS:
         if counts[kind]:
@@ -202,6 +195,7 @@ def run_cli(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(_attach_values(argv))
+        params = EvolutionParams(ns.t, ns.reps)
         h = _load_hamiltonian(ns)
     except ParseError as exc:
         print(f"parse error at offset {exc.position}: {exc.message}", file=sys.stderr)
@@ -209,12 +203,12 @@ def run_cli(argv: Sequence[str]) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read Hamiltonian file: {exc}", file=sys.stderr)
         return 1
-    except (_UsageError, ValueError) as exc:  # the ValueError: --n past the qubit cap
+    except (_UsageError, ValueError) as exc:  # ValueError: --n, --t or --reps out of range
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 
     try:
-        return ns.run(ns, h)
+        return ns.run(ns, h, params)
     except ValueError as exc:  # e.g. rotation angle overflowing to inf
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -278,23 +278,36 @@ def test_qubit_count_past_the_cap_exits_1(ham, n, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, err",
     [
-        ["synth", "--n", "2", "--t", "0.5"],  # missing source
-        ["synth", "--ham", "Z0", "--ham-file", "x.ham", "--n", "1", "--t", "0.5"],
-        ["synth", "--ham", "Z0", "--n", "1", "--t", "0.5", "--bogus"],
-        ["synth", "--ham", "Z0", "--n", "0", "--t", "0.5"],
-        ["trotter", "--ham", "Z0", "--n", "1", "--t", "0.5", "--reps", "0"],
-        ["frobnicate"],
-        ["synth", "--n", "1", "--t", "0.5", "--ham"],  # missing values
-        ["synth", "--ham", "Z0", "--n", "1", "--t"],
-        ["synth", "--n", "1", "--t", "0.5", "--ham-file"],
+        (["synth", "--n", "2", "--t", "0.5"], None),  # missing source
+        (["synth", "--ham", "Z0", "--ham-file", "x.ham", "--n", "1", "--t", "0.5"], None),
+        (["synth", "--ham", "Z0", "--n", "1", "--t", "0.5", "--bogus"], None),
+        (["synth", "--ham", "Z0", "--n", "0", "--t", "0.5"], "n_qubits must be positive, got 0"),
+        (
+            ["trotter", "--ham", "Z0", "--n", "1", "--t", "0.5", "--reps", "0"],
+            "reps must be positive, got 0",
+        ),
+        (["frobnicate"], None),
+        (["synth", "--n", "1", "--t", "0.5", "--ham"], None),  # missing values
+        (["synth", "--ham", "Z0", "--n", "1", "--t"], None),
+        (["synth", "--n", "1", "--t", "0.5", "--ham-file"], None),
+        # out-of-range values, worded by the library's rules
+        (["synth", "--ham", "Z0", "--n", "-5", "--t", "0.5"], "n_qubits must be positive, got -5"),
+        (["synth", "--ham", "Z0", "--n", "1", "--t", "inf"], "t must be finite, got inf"),
+        (["synth", "--ham", "Z0", "--n", "1", "--t", "nan"], "t must be finite, got nan"),
+        (["synth", "--ham", "Z0", "--n", "1", "--t", "1e400"], "t must be finite, got inf"),
+        # a bad --t comes before a parse error and before verify's size cap
+        (["synth", "--ham", "1*Q0", "--n", "1", "--t", "inf"], "t must be finite, got inf"),
+        (["verify", "--ham", "Z0", "--n", "13", "--t", "inf"], "t must be finite, got inf"),
     ],
 )
-def test_usage_errors_exit_1(argv, capsys):
-    rc = run_cli(argv)
-    assert rc == 1
-    assert capsys.readouterr().err != ""
+def test_usage_errors_exit_1(argv, err, capsys):
+    rc, out, stderr = _run(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert stderr.startswith("usage error: ")
+    if err is not None:
+        assert stderr == f"usage error: {err}\n"
 
 
 def _run(argv, capsys):
