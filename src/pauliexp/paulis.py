@@ -33,7 +33,7 @@ class PauliOp(Enum):
 
 
 class PauliString(_Value):
-    """One Pauli per qubit, at least one qubit, as two bit masks.
+    """One Pauli per qubit, from 1 to ``MAX_QUBITS`` qubits, as two bit masks.
 
     Qubit k is bit k of ``x`` and of ``z``: I is (0, 0), X is (1, 0), Y is
     (1, 1) and Z is (0, 1). ``PauliString(ops)`` takes a sequence of
@@ -47,6 +47,7 @@ class PauliString(_Value):
         ops = tuple(ops)
         if len(ops) < 1:
             raise ValueError("a Pauli string needs at least one qubit")
+        _positive(len(ops), "n_qubits", MAX_QUBITS)
         if not all(isinstance(op, PauliOp) for op in ops):
             raise TypeError("ops must all be PauliOp values")
         self._init(len(ops), *_label_masks("".join(op.value for op in ops)))
@@ -56,10 +57,12 @@ class PauliString(_Value):
         """Build from a dense label like ``"IXZY"``; character k acts on qubit k.
 
         Raises ValueError naming the offending position for any character
-        outside {I, X, Y, Z}, or for an empty label.
+        outside {I, X, Y, Z}, or for an empty label or one longer than
+        ``MAX_QUBITS``.
         """
         if not label:
             raise ValueError("empty Pauli label")
+        _positive(len(label), "n_qubits", MAX_QUBITS)
         rest = label.lstrip("IXYZ")  # starts at the first other character
         if rest:
             raise ValueError(

@@ -13,6 +13,7 @@ from pauliexp import (
     EvolutionParams,
     Gate,
     Hamiltonian,
+    PauliOp,
     PauliString,
     PauliTerm,
     QuantumCircuit,
@@ -334,6 +335,7 @@ def test_values_at_the_qubit_cap_edge_build():
     assert Gate.h(top).qubits == (top,)
     assert QuantumCircuit(2**24, (Gate.h(top),)).n_qubits == 2**24
     assert Hamiltonian(2**24).n_qubits == 2**24
+    assert PauliString.from_label("I" * top + "Z").support == (top,)
     assert synth_z_rotation(2**24, [0, top], 1.0).gates == (
         Gate.cx(top, 0),
         Gate.rz(0, 1.0),
@@ -365,6 +367,11 @@ CAP = 2**24 + 1  # one past MAX_QUBITS
         (lambda: Hamiltonian(CAP), "n_qubits must be at most 16777216"),
         (lambda: parse_hamiltonian("Z0", CAP), "n_qubits must be at most 16777216"),
         (lambda: synth_z_rotation(CAP, [0], 1.0), "n_qubits must be at most 16777216"),
+        (lambda: PauliString.from_label("I" * CAP), "n_qubits must be at most 16777216"),
+        (
+            lambda: PauliString(itertools.repeat(PauliOp.I, CAP)),
+            "n_qubits must be at most 16777216",
+        ),
     ],
     ids=[
         "gate-arity",
@@ -384,6 +391,8 @@ CAP = 2**24 + 1  # one past MAX_QUBITS
         "hamiltonian-count-past-cap",
         "parse-count-past-cap",
         "synth-count-past-cap",
+        "label-count-past-cap",
+        "ops-count-past-cap",
     ],
 )
 def test_rejected_values_are_named_first(build, fragment):
