@@ -130,8 +130,10 @@ class _Parser:
             # n_qubits <= MAX_QUBITS has 8 digits: int() never reads a longer index
             index = int(digits) if len(digits) <= 8 else self.n_qubits
             if index >= self.n_qubits:
+                # a longer index is named by its length, so the message stays short
+                shown = digits if len(digits) <= 8 else f"of {len(digits)} digits"
                 raise ParseError(
-                    idx_tok.start(), f"qubit index {digits} out of range for {self.n_qubits} qubits"
+                    idx_tok.start(), f"qubit index {shown} out of range for {self.n_qubits} qubits"
                 )
             bit = 1 << index
             if (x | z) & bit:
