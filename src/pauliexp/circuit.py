@@ -99,7 +99,8 @@ class _Value:
     constructor through :meth:`_init`. Equality and the hash are those of the
     field tuple, ``repr`` shows the fields by name, and pickle and copy set
     the fields again by name, without the constructor's checks, so a state
-    of another layout fails to load rather than fill the wrong fields."""
+    of another layout fails to load rather than fill the wrong fields.
+    :meth:`_trusted` builds a value from fields that already pass the checks."""
 
     __slots__ = ()
 
@@ -108,8 +109,17 @@ class _Value:
         cls._fields = operator.attrgetter(*cls.__match_args__)  # the field tuple of a value
 
     def _init(self, *fields: object) -> None:
-        for name, value in zip(self.__match_args__, fields):
+        for name, value in zip(self.__match_args__, fields, strict=True):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *fields: object) -> _Value:
+        """A value built without the constructor's checks, for internal callers
+        whose fields pass them by construction: every field, in order, stored
+        as the constructor would store it (a tuple, not a list; a float)."""
+        value = object.__new__(cls)
+        value._init(*fields)
+        return value
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -191,10 +201,9 @@ class Gate(_Value):
         return Gate(CZ, (a, b))
 
     def dagger(self) -> Gate:
-        if self.kind in _ROTATIONS:
-            assert self.angle is not None
-            return Gate(self.kind, self.qubits, -self.angle)
-        return Gate(_INVERSE_KIND[self.kind], self.qubits)
+        if self.angle is None:
+            return _trusted_gate(_INVERSE_KIND[self.kind], self.qubits)
+        return _trusted_gate(self.kind, self.qubits, -self.angle)
 
     def __repr__(self) -> str:
         args = ", ".join(map(_shown, self.qubits))
@@ -211,7 +220,8 @@ _set_kind, _set_qubits, _set_angle = (
 
 def _trusted_gate(kind: str, qubits: tuple[int, ...], angle: float | None = None) -> Gate:
     """A Gate built without ``__init__``, whose checks would dominate
-    synthesis time. Only for internal callers whose arguments are valid by
+    synthesis time: Gate's form of :meth:`_Value._trusted`, faster for
+    setting its slots directly. Only for internal callers whose arguments are valid by
     construction: a known kind, a tuple of distinct ints below MAX_QUBITS, not
     negative, of the right length, and a finite float angle exactly for rotations."""
     gate = object.__new__(Gate)
@@ -242,10 +252,8 @@ class QuantumCircuit(_Value):
 
     def dagger(self) -> QuantumCircuit:
         """Circuit whose unitary is the conjugate transpose of this one's."""
-        return QuantumCircuit(
-            self.n_qubits,
-            tuple(g.dagger() for g in reversed(self.gates)),
-            -self.global_phase,
+        return QuantumCircuit._trusted(
+            self.n_qubits, tuple([g.dagger() for g in reversed(self.gates)]), -self.global_phase
         )
 
     def gate_counts(self) -> dict[str, int]:
@@ -261,7 +269,7 @@ class QuantumCircuit(_Value):
 
 def cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
     """The circuit after peephole compaction (:func:`_cancel`), phase kept."""
-    return QuantumCircuit(circuit.n_qubits, _cancel(circuit.gates), circuit.global_phase)
+    return QuantumCircuit._trusted(circuit.n_qubits, _cancel(circuit.gates), circuit.global_phase)
 
 
 def _cancel(gates: Iterable[Gate]) -> tuple[Gate, ...]:

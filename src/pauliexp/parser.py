@@ -85,7 +85,7 @@ class _Parser:
                 terms.append(self.term(negated=not self._eat_minus()))
             else:
                 raise ParseError(conn.start(), f"expected '+' or '-', got {conn[0]!r}")
-        return Hamiltonian(self.n_qubits, tuple(terms))
+        return Hamiltonian._trusted(self.n_qubits, tuple(terms))
 
     def _eat_minus(self) -> bool:
         if self.here.lastgroup == "MINUS":
@@ -112,7 +112,7 @@ class _Parser:
             tok = self.advance()
             if not explicit_coeff:
                 raise ParseError(tok.start(), "'Id' requires an explicit coefficient")
-            return PauliTerm(coeff, PauliString._from_masks(self.n_qubits, 0, 0))
+            return PauliTerm._trusted(coeff, PauliString._trusted(self.n_qubits, 0, 0))
 
         if self.here.lastgroup != "PAULI":
             raise ParseError(
@@ -142,7 +142,7 @@ class _Parser:
                 x |= bit
             if factor[0] != "X":
                 z |= bit
-        return PauliTerm(coeff, PauliString._from_masks(self.n_qubits, x, z))
+        return PauliTerm._trusted(coeff, PauliString._trusted(self.n_qubits, x, z))
 
 
 def parse_hamiltonian(text: str, n_qubits: int) -> Hamiltonian:

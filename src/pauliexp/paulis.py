@@ -68,16 +68,7 @@ class PauliString(_Value):
             raise ValueError(
                 f"invalid Pauli character {rest[0]!r} at position {len(label) - len(rest)}"
             )
-        return cls._from_masks(len(label), *_label_masks(label))
-
-    @classmethod
-    def _from_masks(cls, n_qubits: int, x: int, z: int) -> PauliString:
-        """A string built without checks, for internal callers whose masks
-        are valid by construction: ``n_qubits >= 1`` and ``0 <= x, z <
-        2**n_qubits``."""
-        p = object.__new__(cls)
-        p._init(n_qubits, x, z)
-        return p
+        return cls._trusted(len(label), *_label_masks(label))
 
     def to_label(self) -> str:
         """Dense label; exact inverse of :meth:`from_label`."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
+from operator import attrgetter
 
 from .circuit import (
     CX,
@@ -75,7 +76,8 @@ def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> Qua
         raise ValueError(f"support must be strictly ascending, got {_shown(support)}")
     if support[0] < 0 or support[-1] >= n_qubits:
         raise ValueError(f"support {_shown(support)} out of range for {n_qubits} qubits")
-    return QuantumCircuit(n_qubits, _ladder(support, _finite(theta, "rz angle")))
+    gates = tuple(_ladder(support, _finite(theta, "rz angle")))
+    return QuantumCircuit._trusted(n_qubits, gates, 0.0)
 
 
 def _ladder(support: tuple[int, ...], theta: float) -> list[Gate]:
@@ -91,34 +93,20 @@ def _wraps(
     string: PauliString, support: tuple[int, ...], variant: SynthVariant
 ) -> tuple[list[Gate], list[Gate]]:
     """The basis changes before and after the ladder, as (pre, post) gate
-    lists: z-ladder's qubit by qubit, the others as the H legs and the outer
-    layer that the module docstring gives for each."""
-    if variant is SynthVariant.Z_LADDER:
-        x_only, y = string.x & ~string.z, string.x & string.z
-        pre: list[Gate] = []
-        post: list[Gate] = []
-        for k in support:
-            if x_only >> k & 1:
-                h = _trusted_gate(H, (k,))
-                pre.append(h)
-                post.append(h)
-            elif y >> k & 1:
-                h = _trusted_gate(H, (k,))
-                pre += [_trusted_gate(SDG, (k,)), h]
-                post += [h, _trusted_gate(S, (k,))]
-        return pre, post
-
-    # the H legs and the Z factors that get an outer H; the outer layer sits
-    # on the legs with a Z component: H on those in outer_h, Sdg on the Ys
+    lists. Every layout has the same legs, one H each, and an outer gate on
+    each leg with a Z component: H on a Z factor, Sdg before and S after on a
+    Y factor. x-ladder and mixed put the outer layer outside the H legs;
+    z-ladder puts the same gates qubit by qubit."""
     x, z = string.x, string.z
-    if variant is SynthVariant.X_LADDER:
-        legs, outer_h = support, z & ~x
-    else:
-        legs, outer_h = _bits(x), 0
-    outer_pre = [_trusted_gate(H if outer_h >> k & 1 else SDG, (k,)) for k in legs if z >> k & 1]
-    outer_post = [g if g.kind == H else _trusted_gate(S, g.qubits) for g in outer_pre]
+    legs = support if variant is SynthVariant.X_LADDER else _bits(x)
     inner = [_trusted_gate(H, (k,)) for k in legs]
-    return outer_pre + inner, inner + outer_post
+    outer_pre = [_trusted_gate(SDG if x >> k & 1 else H, (k,)) for k in legs if z >> k & 1]
+    outer_post = [g if g.kind == H else _trusted_gate(S, g.qubits) for g in outer_pre]
+    pre, post = outer_pre + inner, inner + outer_post
+    if variant is SynthVariant.Z_LADDER:  # a stable sort keeps each qubit's outer gate outside
+        pre.sort(key=attrgetter("qubits"))
+        post.sort(key=attrgetter("qubits"))
+    return pre, post
 
 
 def _term_gates(term: PauliTerm, angle: float, variant: SynthVariant) -> list[Gate]:
@@ -138,7 +126,8 @@ def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumC
     """
     if not isinstance(term, PauliTerm):
         raise TypeError(f"term must be a PauliTerm, got {_shown(term)}")
-    return trotter_circuit(Hamiltonian(term.n_qubits, (term,)), EvolutionParams(t), variant)
+    h = Hamiltonian._trusted(term.n_qubits, (term,))
+    return trotter_circuit(h, EvolutionParams(t), variant)
 
 
 def _product(
@@ -209,4 +198,4 @@ def trotter_circuit(
     phase are those that the CLI streams without building the circuit.
     """
     gates, phase = _product(h, params, variant, compact)
-    return QuantumCircuit(h.n_qubits, tuple(gates), phase)
+    return QuantumCircuit._trusted(h.n_qubits, tuple(gates), phase)
