@@ -269,6 +269,8 @@ class QuantumCircuit(_Value):
 
 def cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
     """The circuit after peephole compaction (:func:`_cancel`), phase kept."""
+    if not isinstance(circuit, QuantumCircuit):
+        raise TypeError(f"circuit must be a QuantumCircuit, got {_shown(circuit)}")
     return QuantumCircuit._trusted(circuit.n_qubits, _cancel(circuit.gates), circuit.global_phase)
 
 

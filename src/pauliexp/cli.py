@@ -17,6 +17,7 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 from contextlib import nullcontext
+from functools import partial
 
 from .circuit import GATE_KINDS
 from .parser import ParseError, parse_hamiltonian
@@ -63,20 +64,22 @@ def _ascii(text: str) -> str:
     return text
 
 
-def _int(text: str) -> int:
-    return int(_ascii(text))
-
-
-def _float(text: str) -> float:
-    return float(_ascii(text))
+def _number(kind: type[int] | type[float], text: str) -> int | float:
+    """``kind(text)`` for ASCII option text. A text that ``kind`` rejects reads
+    ``invalid int value`` or ``invalid float value``, where argparse would
+    name this reader."""
+    try:
+        return kind(_ascii(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
 
 
 def _add_common(sub: argparse.ArgumentParser, compact: bool = False, out: bool = False) -> None:
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--ham", help="Hamiltonian expression, e.g. '0.5*Z0 Z1 + 0.3*X0'")
     source.add_argument("--ham-file", help="path to a .ham file (same grammar, # comments)")
-    sub.add_argument("--n", type=_int, required=True, help="number of qubits")
-    sub.add_argument("--t", type=_float, required=True, help="evolution angle t")
+    sub.add_argument("--n", type=partial(_number, int), required=True, help="number of qubits")
+    sub.add_argument("--t", type=partial(_number, float), required=True, help="evolution angle t")
     sub.add_argument(
         "--variant",
         choices=[v.value for v in SynthVariant],
@@ -100,7 +103,7 @@ def _build_parser() -> _Parser:
 
     trotter = subs.add_parser("trotter", help="synthesize a Trotter product and emit OpenQASM")
     _add_common(trotter, compact=True, out=True)
-    trotter.add_argument("--reps", type=_int, help="Trotter slices")
+    trotter.add_argument("--reps", type=partial(_number, int), help="Trotter slices")
     trotter.set_defaults(run=_emit)
 
     verify = subs.add_parser("verify", help="check the synthesis against the matrix oracle")

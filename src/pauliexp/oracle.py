@@ -302,6 +302,9 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     The sums run over parts of the columns that it cuts here (a 1-D input
     is one row), so no temporary larger than a part is made.
     """
+    for name, m in (("a", a), ("b", b)):
+        if not isinstance(m, np.ndarray):
+            raise TypeError(f"{name} must be a numpy array, got {_shown(m)}")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     rows, cols = (len(a), math.prod(a.shape[1:])) if a.ndim > 1 else (1, a.size)

@@ -23,7 +23,7 @@ import math
 import re
 from collections.abc import Iterator
 
-from .circuit import MAX_QUBITS, _positive
+from .circuit import MAX_QUBITS, _positive, _shown
 from .paulis import Hamiltonian, PauliString, PauliTerm
 
 
@@ -182,6 +182,8 @@ def format_hamiltonian(h: Hamiltonian) -> str:
     order; the all-identity string prints as ``coeff*Id``; negative weights
     stay inside the coefficient literal and terms join with `` + ``.
     """
+    if not isinstance(h, Hamiltonian):
+        raise TypeError(f"h must be a Hamiltonian, got {_shown(h)}")
     if not h.terms:
         raise ValueError("cannot format a Hamiltonian with no terms: the grammar needs one")
     rendered = []

@@ -58,8 +58,10 @@ class PauliString(_Value):
 
         Raises ValueError naming the offending position for any character
         outside {I, X, Y, Z}, or for an empty label or one longer than
-        ``MAX_QUBITS``.
+        ``MAX_QUBITS``; TypeError naming the type of a label that is not a str.
         """
+        if not isinstance(label, str):
+            raise TypeError(f"label must be a str, got {type(label).__name__}")
         if not label:
             raise ValueError("empty Pauli label")
         _positive(len(label), "n_qubits", MAX_QUBITS)

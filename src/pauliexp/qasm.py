@@ -13,7 +13,7 @@ import math
 import re
 from collections.abc import Iterable, Iterator
 
-from .circuit import Gate, QuantumCircuit
+from .circuit import Gate, QuantumCircuit, _shown
 
 _HEADER = ('OPENQASM 2.0;', 'include "qelib1.inc";')
 
@@ -56,6 +56,8 @@ def emit_qasm(circuit: QuantumCircuit) -> str:
     Emission is deterministic: identical circuits produce byte-identical
     text.
     """
+    if not isinstance(circuit, QuantumCircuit):
+        raise TypeError(f"circuit must be a QuantumCircuit, got {_shown(circuit)}")
     return "".join(_qasm_lines(circuit.n_qubits, circuit.gates, circuit.global_phase))
 
 
@@ -66,8 +68,11 @@ def validate_qasm(text: str) -> None:
     comment, finite and last.
 
     Raises ValueError naming the first offending line. Used by the test
-    suite to keep the emitter honest.
+    suite to keep the emitter honest. A ``text`` that is not a str raises
+    TypeError naming its type.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, got {type(text).__name__}")
     lines = text.split("\n")
     if lines[-1] != "":
         raise ValueError("document must end with a newline")

@@ -300,6 +300,16 @@ def test_qubit_count_past_the_cap_exits_1(ham, n, capsys):
         # a bad --t comes before a parse error and before verify's size cap
         (["synth", "--ham", "1*Q0", "--n", "1", "--t", "inf"], "t must be finite, got inf"),
         (["verify", "--ham", "Z0", "--n", "13", "--t", "inf"], "t must be finite, got inf"),
+        # text that is not a number, named by the type it should be
+        (["synth", "--ham", "Z0", "--n", "x", "--t", "1"], "argument --n: invalid int value: 'x'"),
+        (
+            ["synth", "--ham", "Z0", "--n", "1", "--t", "y"],
+            "argument --t: invalid float value: 'y'",
+        ),
+        (
+            ["trotter", "--ham", "Z0", "--n", "1", "--t", "1", "--reps", "z"],
+            "argument --reps: invalid int value: 'z'",
+        ),
     ],
 )
 def test_usage_errors_exit_1(argv, err, capsys):

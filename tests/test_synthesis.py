@@ -1,7 +1,9 @@
 """Synthesis of exp(-i*t*w*P): ladders, basis-change wraps, variants, Trotter."""
 
+import copy
 import itertools
 import math
+import pickle
 import re
 from collections import Counter
 from random import Random
@@ -23,6 +25,7 @@ from pauliexp import (
     emit_qasm,
     exp_pauli_closed_form,
     exp_pauli_term,
+    format_hamiltonian,
     hamiltonian_matrix,
     matrix_exponential,
     parse_hamiltonian,
@@ -30,6 +33,7 @@ from pauliexp import (
     phase_invariant_distance,
     synth_z_rotation,
     trotter_circuit,
+    validate_qasm,
 )
 from helpers import random_pauli_string, reference_exp_pauli_term
 from test_pauli_masks import for_labels
@@ -491,6 +495,16 @@ def test_rejected_values_are_named_first(build, fragment):
             TypeError,
             r"^c must be a QuantumCircuit, got \(rz",
         ),
+        (lambda: cancel_adjacent(None), TypeError, "^circuit must be a QuantumCircuit, got None$"),
+        (lambda: emit_qasm(None), TypeError, "^circuit must be a QuantumCircuit, got None$"),
+        (lambda: format_hamiltonian(None), TypeError, "^h must be a Hamiltonian, got None$"),
+        (lambda: validate_qasm(None), TypeError, "^text must be a str, got NoneType$"),
+        (
+            lambda: phase_invariant_distance(None, np.eye(2)),
+            TypeError,
+            "^a must be a numpy array, got None$",
+        ),
+        (lambda: PauliString.from_label(None), TypeError, "^label must be a str, got NoneType$"),
     ],
     ids=[
         "hamiltonian-terms",
@@ -537,6 +551,12 @@ def test_rejected_values_are_named_first(build, fragment):
         "pauli-matrix-term-for-string",
         "hamiltonian-matrix-term-for-hamiltonian",
         "circuit-unitary-gates-for-circuit",
+        "cancel-none-circuit",
+        "emit-none-circuit",
+        "format-none-hamiltonian",
+        "validate-none-text",
+        "distance-none-array",
+        "from-label-none",
     ],
 )
 @pytest.mark.filterwarnings("error")  # and no numpy warning on the way
@@ -562,8 +582,8 @@ def test_numpy_real_values_are_stored_as_floats(value):
 @for_labels(1, 8, examples=500)
 def test_layouts_differ_by_h_pairs_on_z_factors(label):
     """For one term, cancel_adjacent turns x-ladder into mixed gate for gate,
-    x-ladder has 4 gates more than mixed per Z factor, and z-ladder and mixed
-    use the same gates."""
+    z-ladder's gates are a permutation of mixed's, and x-ladder's are mixed's
+    plus two H pairs on each Z factor: one wrap rule, in three orders."""
     rng = Random(label)
     weighted = term(label, rng.uniform(-3.0, 3.0))
     t = rng.uniform(-2.0, 2.0)
@@ -574,6 +594,8 @@ def test_layouts_differ_by_h_pairs_on_z_factors(label):
     assert cancel_adjacent(x_ladder).gates == mixed.gates
     assert len(x_ladder) - len(mixed) == 4 * label.count("Z")
     assert Counter(z_ladder.gates) == Counter(mixed.gates)
+    h_pairs = Counter({Gate.h(k): 4 for k, op in enumerate(label) if op == "Z"})
+    assert Counter(x_ladder.gates) == Counter(mixed.gates) + h_pairs
 
 
 def test_evolution_params_accepts_numpy_int_reps():
@@ -630,17 +652,49 @@ def test_unknown_variant_is_rejected(variant):
         exp_pauli_term(term("YX"), 0.5, variant)
 
 
+def _assert_like_checked(value):
+    """``value`` has every field set, stored as its public constructor stores
+    it: it equals and hashes like the value that constructor builds from the
+    same fields, and survives pickle and copy. So do the values inside it."""
+    names = type(value).__match_args__
+    fields = [getattr(value, name) for name in names]  # AttributeError on an unset field
+    if isinstance(value, PauliString):
+        checked = PauliString(value.ops)
+    else:
+        checked = type(value)(*fields)
+    assert value == checked and hash(value) == hash(checked)
+    assert [type(f) for f in fields] == [type(getattr(checked, name)) for name in names]
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert copied == value and hash(copied) == hash(value)
+    if isinstance(value, Gate):
+        assert type(value.angle) is (float if value.kind in ("rz", "rx") else type(None))
+        assert all(type(q) is int for q in value.qubits)
+    for inner in (*getattr(value, "gates", ()), *getattr(value, "terms", ())):
+        _assert_like_checked(inner)
+    if isinstance(value, PauliTerm):
+        _assert_like_checked(value.string)
+
+
 def test_synthesized_gates_equal_validated_gates():
-    """Gates built on the unchecked internal path equal and hash like public ones."""
+    """Values built on the unchecked internal hops, gates, circuits, strings,
+    terms and Hamiltonians, equal and hash like those the public constructors
+    build, with every field set."""
     rng = Random(36)
     for variant in SynthVariant:
         for _ in range(20):
             n = rng.randint(1, 6)
-            circuit = exp_pauli_term(
-                PauliTerm(rng.uniform(-2.0, 2.0), random_pauli_string(rng, n)), 0.4, variant
-            )
-            for gate in circuit.gates:
-                public = Gate(gate.kind, gate.qubits, gate.angle)
-                assert gate == public and hash(gate) == hash(public)
-                assert type(gate.angle) is (float if gate.kind in ("rz", "rx") else type(None))
-                assert all(type(q) is int for q in gate.qubits)
+            terms = [
+                PauliTerm(rng.uniform(-2.0, 2.0), random_pauli_string(rng, n))
+                for _ in range(rng.randint(1, 4))
+            ]
+            h = parse_hamiltonian(format_hamiltonian(Hamiltonian(n, terms)), n)
+            built = [h, *(PauliString.from_label(t.string.to_label()) for t in terms)]
+            built += [exp_pauli_term(t, 0.4, variant) for t in terms]
+            for compact in (False, True):
+                circuit = trotter_circuit(h, EvolutionParams(0.3, 2), variant, compact)
+                built += [circuit, circuit.dagger(), cancel_adjacent(circuit)]
+            support = terms[0].string.support
+            if support:
+                built.append(synth_z_rotation(n, support, rng.uniform(-2.0, 2.0)))
+            for value in built:
+                _assert_like_checked(value)
