@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, MutableSequence, Sequence
+from itertools import chain, repeat
 
 H = "h"
 S = "s"
@@ -287,11 +288,36 @@ def _cancel(gates: Iterable[Gate]) -> tuple[Gate, ...]:
     One pass reaches the fixed point: a kept gate can only be removed by a
     later gate on its exact qubit tuple, which would first meet any kept gate
     after it on those qubits. So a gate between two survivors stays, and they
-    never become adjacent.
+    never become adjacent. A Trotter product need not run the pass on every
+    copy of its slice: :func:`_cancel_product` runs it on two.
     """
     kept: list[Gate | None] = []
-    # per touched qubit, indices into kept of its live gates; the top is the latest
-    live: defaultdict[int, list[int]] = defaultdict(list)
+    _peephole(gates, kept, _stacks())
+    return tuple(g for g in kept if g is not None)
+
+
+def _ints() -> MutableSequence[int]:
+    """An empty array of machine ints: an int object and its pointer would
+    take 36 bytes an entry, not 8. The array module's shared library costs a
+    process about 0.1 MB of RSS, so it loads here, where the peephole first
+    needs it, not when the package is imported."""
+    from array import array
+
+    return array("q")
+
+
+def _stacks() -> defaultdict[int, MutableSequence[int]]:
+    """Empty per-qubit stacks of indices into a kept list."""
+    return defaultdict(_ints)
+
+
+def _peephole(
+    gates: Iterable[Gate], kept: list[Gate | None], live: defaultdict[int, MutableSequence[int]]
+) -> None:
+    """The step of :func:`_cancel`, gate by gate: each gate cancels or merges
+    into the latest live gate on its qubits, or is appended to ``kept``.
+    ``live`` maps each touched qubit to the indices into ``kept`` of its live
+    gates, latest on top; a cancelled entry of ``kept`` becomes None."""
     for gate in gates:
         j = -1  # the latest live gate on any of the gate's qubits
         for q in gate.qubits:
@@ -316,4 +342,76 @@ def _cancel(gates: Iterable[Gate]) -> tuple[Gate, ...]:
         for q in gate.qubits:
             live[q].append(len(kept))
         kept.append(gate)
-    return tuple(g for g in kept if g is not None)
+
+
+def _cancel_product(gates: list[Gate], reps: int) -> list[tuple[Sequence[Gate], int]]:
+    """:func:`_cancel` of ``gates`` repeated ``reps`` times, as runs of gates,
+    each with the number of times it repeats. When the peephole on two copies
+    of the slice shows the product periodic (:func:`_splice`), the runs are
+    copy 1's survivors, the middle ``reps - 2`` times and copy 2's
+    survivors; otherwise, and for ``reps <= 2``, the full pass is the one
+    run. Either way the pass runs here, so what it raises it raises before
+    the caller reads a gate."""
+    if reps > 2 and (spliced := _splice(gates)) is not None:
+        head, middle, tail = spliced
+        return [(head, 1), (middle, reps - 2), (tail, 1)]
+    return [(_cancel(chain.from_iterable(repeat(gates, reps))), 1)]
+
+
+def _splice(gates: list[Gate]) -> tuple[list[Gate], list[Gate], list[Gate]] | None:
+    """Copy 1's survivors, the middle and copy 2's survivors of the peephole
+    on ``gates`` repeated, or None when two copies do not show it periodic.
+
+    The peephole (:func:`_peephole`) runs on two copies. On each qubit, copy
+    2 reads down to its reach: the deepest of copy 1's entries that it reads,
+    where the empty stack counts one deeper than the last entry. The top
+    ``reach`` entries of the stack are its window. The window copy 2 leaves
+    must hold its own entries only and equal the window copy 1 left, as it
+    was before copy 2 merged into it: the same slice positions, so the same
+    kinds and qubits, and equal angles, so equal bits (a merge that sums to
+    zero cancels, so a zero angle is the slice's own at that position). It
+    must also reach the bottom of the stack exactly when copy 1's did. Then
+    copy 3 reads what copy 2 read and does what copy 2 did, and so does
+    every later copy. (Copy 2 pops only entries it read, so it also leaves
+    at least as many entries of its own as it popped.) The middle is a copy
+    as the next copy leaves it: copy 1's final entry at each window
+    position, copy 2's entry elsewhere. A rotation that keeps accumulating
+    across copies, as a lone ``Z0`` does, fails the check.
+    """
+    kept: list[Gate | None] = []
+    live = _stacks()
+    where = _ints()  # the slice position of each entry of kept
+    reach: dict[int, int] = {}
+
+    def place(p: int, gate: Gate) -> None:
+        size = len(kept)
+        _peephole((gate,), kept, live)
+        if len(kept) > size:
+            where.append(p)
+
+    for p, gate in enumerate(gates):
+        place(p, gate)
+    start, before = len(kept), kept[:]
+    first = {q: stack[:] for q, stack in live.items()}
+    for p, gate in enumerate(gates):
+        for q in gate.qubits:
+            stack = live[q]
+            if not stack or stack[-1] < start:  # copy 2 reads below its own entries
+                reach[q] = max(reach.get(q, 0), len(first[q]) - len(stack) + 1)
+        place(p, gate)
+
+    moved: dict[int, int] = {}  # each entry in copy 2's window: the copy-1 entry it mirrors
+    for q, depth in reach.items():
+        old, new = first[q], live[q]
+        bottom = depth > len(old)
+        width = depth - bottom
+        if (len(new) != width) if bottom else (len(new) < width):
+            return None
+        for i, k in zip(old[len(old) - width :], new[len(new) - width :]):
+            if k < start or where[i] != where[k] or before[i].angle != kept[k].angle:
+                return None
+            moved[k] = i
+    head = [g for g in kept[:start] if g is not None]
+    tail = [g for g in kept[start:] if g is not None]
+    middle = [kept[moved.get(k, k)] for k in range(start, len(kept))]
+    return head, [g for g in middle if g is not None], tail

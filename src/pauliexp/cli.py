@@ -22,8 +22,8 @@ from functools import partial
 from .circuit import GATE_KINDS
 from .parser import ParseError, parse_hamiltonian
 from .paulis import Hamiltonian
-from .qasm import _qasm_lines
-from .synth import EvolutionParams, SynthVariant, _product, trotter_circuit
+from .qasm import _qasm_lines, _qasm_text
+from .synth import EvolutionParams, SynthVariant, _expand, _product, trotter_circuit
 
 VERIFY_THRESHOLD = 1e-8
 
@@ -133,21 +133,24 @@ def _load_hamiltonian(ns: argparse.Namespace) -> Hamiltonian:
 
 def _emit(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> int:
     """Write the QASM document of the Trotter product to ``--out`` or stdout
-    line by line through the stream's buffer, so the whole text never exists
-    at once.
+    through the stream, one string per chunk of the product's runs, so the
+    whole text never exists at once: one per term without ``--compact``; with
+    it the spliced middle is formatted once and written ``reps - 2`` times
+    between copy 1's and copy 2's survivors, or the full pass's survivors go
+    out a slice's length at a time (:func:`_product`).
 
-    No circuit is built either: the gates stream from synthesis, through the
-    peephole with ``--compact``. Every term is checked before the target is
-    opened, so an error leaves stdout empty and creates no file.
+    No circuit is built either. Every term is checked, and the peephole run,
+    before the target is opened, so an error leaves stdout empty and creates
+    no file.
     """
-    gates, phase = _product(h, params, SynthVariant(ns.variant), ns.compact)
-    lines = _qasm_lines(h.n_qubits, gates, phase)
+    runs, phase = _product(h, params, SynthVariant(ns.variant), ns.compact)
+    pieces = _qasm_lines(h.n_qubits, _expand(runs, _qasm_text), phase)
     if ns.out:
         target = open(ns.out, "w", encoding="utf-8", newline="\n")
     else:
         target = nullcontext(sys.stdout)
     with target as fh:
-        fh.writelines(lines)
+        fh.writelines(pieces)
     return 0
 
 
@@ -186,8 +189,8 @@ def _verify(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> 
 
 
 def _stats(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> int:
-    gates, _ = _product(h, params, SynthVariant(ns.variant), ns.compact)
-    counts = Counter(gate.kind for gate in gates)
+    runs, _ = _product(h, params, SynthVariant(ns.variant), ns.compact)
+    counts = Counter(gate.kind for gates in _expand(runs) for gate in gates)
     for kind in GATE_KINDS:
         if counts[kind]:
             print(f"{kind}={counts[kind]}")

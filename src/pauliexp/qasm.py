@@ -32,20 +32,27 @@ def _angle(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _qasm_lines(n_qubits: int, gates: Iterable[Gate], phase: float) -> Iterator[str]:
-    """The lines of the document for ``n_qubits``, the gates in order and the
-    global phase, each ending in a newline. ``gates`` may be a stream: it is
-    read once, one gate per line."""
+def _gate_line(gate: Gate) -> str:
+    if gate.angle is not None:
+        return f"{gate.kind}({_angle(gate.angle)}) q[{gate.qubits[0]}];\n"
+    if len(gate.qubits) == 1:
+        return f"{gate.kind} q[{gate.qubits[0]}];\n"
+    return f"{gate.kind} q[{gate.qubits[0]}],q[{gate.qubits[1]}];\n"
+
+
+def _qasm_text(gates: Iterable[Gate]) -> str:
+    """The statements of ``gates`` in order, one line each, as one string."""
+    return "".join(map(_gate_line, gates))
+
+
+def _qasm_lines(n_qubits: int, statements: Iterable[str], phase: float) -> Iterator[str]:
+    """The document for ``n_qubits``, the text of its gate statements and the
+    global phase, in pieces that each end in a newline. ``statements`` may be
+    a stream: it is read once, and each of its strings is one piece."""
     for line in _HEADER:
         yield f"{line}\n"
     yield f"qreg q[{n_qubits}];\n"
-    for gate in gates:
-        if gate.angle is not None:
-            yield f"{gate.kind}({_angle(gate.angle)}) q[{gate.qubits[0]}];\n"
-        elif len(gate.qubits) == 1:
-            yield f"{gate.kind} q[{gate.qubits[0]}];\n"
-        else:
-            yield f"{gate.kind} q[{gate.qubits[0]}],q[{gate.qubits[1]}];\n"
+    yield from statements
     if phase != 0.0:
         yield f"// global phase: {_angle(phase)}\n"
 
@@ -58,7 +65,8 @@ def emit_qasm(circuit: QuantumCircuit) -> str:
     """
     if not isinstance(circuit, QuantumCircuit):
         raise TypeError(f"circuit must be a QuantumCircuit, got {_shown(circuit)}")
-    return "".join(_qasm_lines(circuit.n_qubits, circuit.gates, circuit.global_phase))
+    statements = map(_gate_line, circuit.gates)
+    return "".join(_qasm_lines(circuit.n_qubits, statements, circuit.global_phase))
 
 
 def validate_qasm(text: str) -> None:

@@ -21,8 +21,9 @@ All three produce the same unitary.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
+from itertools import chain
 from operator import attrgetter
 
 from .circuit import (
@@ -35,7 +36,7 @@ from .circuit import (
     Gate,
     QuantumCircuit,
     _as_int,
-    _cancel,
+    _cancel_product,
     _finite,
     _positive,
     _shown,
@@ -132,16 +133,24 @@ def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumC
 
 def _product(
     h: Hamiltonian, params: EvolutionParams, variant: SynthVariant, compact: bool = False
-) -> tuple[Iterable[Gate], float]:
-    """The gates of the first-order Trotter product, in order, and its phase.
+) -> tuple[list[tuple[Iterable[Sequence[Gate]], int]], float]:
+    """The gates of the first-order Trotter product, as runs, and its phase.
 
     Every check runs before the first gate: ``h`` is a :class:`Hamiltonian`,
     ``params`` are :class:`EvolutionParams`, the variant is a
     :class:`SynthVariant`, then :func:`_finite` takes each term's RZ angle
     and the summed phase. So a stream that starts never fails part way; its
     gates lie inside ``h.n_qubits`` because every term's string does.
-    The gates are a lazy stream of the slice, synthesized once and replayed
-    ``reps`` times; with ``compact``, the survivors of :func:`_cancel` on it.
+
+    A run ``(chunks, times)`` is gate sequences, read once, that repeat
+    ``times`` times; :func:`_expand` lays the runs out in product order.
+    Without ``compact`` the one run is the slice, each term's gates
+    synthesized lazily, ``reps`` times. With ``compact`` the slice is
+    synthesized as one list, and :func:`_cancel_product` compacts the
+    product from two copies of it: copy 1's survivors, the middle, checked
+    periodic, ``reps - 2`` times and copy 2's survivors; it falls back to
+    the full peephole pass when the check fails. Either way the peephole
+    runs here, so a merged angle that overflows raises before the first gate.
     """
     if not isinstance(h, Hamiltonian):
         raise TypeError(f"h must be a Hamiltonian, got {_shown(h)}")
@@ -162,23 +171,40 @@ def _product(
         for piece_phase in phases:
             phase += piece_phase
     _finite(phase, "global_phase")
-    gates = _replayed_slice(h.terms, angles, variant, params.reps)
-    return (_cancel(gates) if compact else gates), phase
+    per_term = (_term_gates(term, angle, variant) for term, angle in zip(h.terms, angles))
+    if not compact:
+        return [(per_term, params.reps)], phase
+    slice_ = [g for gates in per_term for g in gates]
+    runs = _cancel_product(slice_, params.reps)
+    return [(_chunks(gates, max(len(slice_), 1)), times) for gates, times in runs], phase
 
 
-def _replayed_slice(
-    terms: tuple[PauliTerm, ...], angles: list[float], variant: SynthVariant, reps: int
-) -> Iterator[Gate]:
-    """The gate stream of :func:`_product`; its body first runs when the
-    first gate is asked for, after the checks."""
-    kept: list[Gate] = []
-    for term, angle in zip(terms, angles):
-        gates = _term_gates(term, angle, variant)
-        if reps > 1:
-            kept += gates
-        yield from gates
-    for _ in range(reps - 1):
-        yield from kept
+def _chunks(gates: Sequence[Gate], size: int) -> Iterator[Sequence[Gate]]:
+    """``gates`` in pieces of at most ``size``: the full pass's survivors, a
+    run of up to ``reps`` slices, are formatted a slice at a time. A run that
+    fits is passed on whole, not copied."""
+    if len(gates) <= size:
+        yield gates
+        return
+    for start in range(0, len(gates), size):
+        yield gates[start : start + size]
+
+
+def _expand(
+    runs: list[tuple[Iterable[Sequence[Gate]], int]],
+    form: Callable[[Sequence[Gate]], object] = lambda chunk: chunk,
+) -> Iterator[object]:
+    """``form`` of each chunk of :func:`_product`'s runs, in product order.
+    Each chunk is formed once, and a run's forms are kept to repeat them."""
+    for chunks, times in runs:
+        formed = []
+        for chunk in chunks:
+            item = form(chunk)
+            if times > 1:
+                formed.append(item)
+            yield item
+        for _ in range(times - 1):
+            yield from formed
 
 
 def trotter_circuit(
@@ -197,5 +223,5 @@ def trotter_circuit(
     merges the rotations of adjacent identical slices. The gates and the
     phase are those that the CLI streams without building the circuit.
     """
-    gates, phase = _product(h, params, variant, compact)
-    return QuantumCircuit._trusted(h.n_qubits, tuple(gates), phase)
+    runs, phase = _product(h, params, variant, compact)
+    return QuantumCircuit._trusted(h.n_qubits, tuple(chain.from_iterable(_expand(runs))), phase)

@@ -21,7 +21,9 @@ from pauliexp import (
     trotter_circuit,
     validate_qasm,
 )
-from pauliexp.circuit import _trusted_gate
+from pauliexp.circuit import _cancel, _cancel_product, _trusted_gate
+from pauliexp.parser import parse_hamiltonian
+from pauliexp.synth import _expand, _product, _term_gates
 from helpers import random_circuit, random_hamiltonian, reference_cancel_adjacent
 
 
@@ -251,7 +253,83 @@ def test_compact_trotter_matches_reference(variant):
     rng = Random(26)
     for _ in range(40):
         h = random_hamiltonian(rng, max_qubits=6, max_terms=8)
-        params = EvolutionParams(rng.uniform(-2.0, 2.0), rng.randint(1, 5))
+        params = EvolutionParams(rng.uniform(-2.0, 2.0), rng.randint(1, 12))
         compact = trotter_circuit(h, params, variant, compact=True)
         assert compact == reference_cancel_adjacent(trotter_circuit(h, params, variant))
         assert cancel_adjacent(compact) == compact
+
+
+def _bits(gates):
+    return [(g.kind, g.qubits, None if g.angle is None else g.angle.hex()) for g in gates]
+
+
+def _laid_out(runs):
+    return [gate for gates, times in runs for _ in range(times) for gate in gates]
+
+
+def test_cancel_product_matches_the_full_pass_bit_for_bit():
+    """Spliced or not, the runs lay out the full pass's gates and angle bits."""
+    rng = Random(27)
+    spliced = fell_back = 0
+    for case in range(600):
+        if case % 2:
+            h = random_hamiltonian(rng, max_qubits=6, max_terms=6)
+            variant = rng.choice(list(SynthVariant))
+            slice_ = [g for term in h.terms for g in _term_gates(term, rng.uniform(-3, 3), variant)]
+        else:  # angles that cancel and merge to signed zeros
+            angles = (0.5, -0.5, 0.25, 0.0, -0.0)
+            slice_ = list(random_circuit(rng, rng.randint(1, 4), rng.randint(0, 12), angles).gates)
+        reps = rng.randint(1, 12)
+        runs = _cancel_product(slice_, reps)
+        assert _bits(_laid_out(runs)) == _bits(_cancel(slice_ * reps))
+        if reps > 2:
+            spliced += len(runs) == 3
+            fell_back += len(runs) == 1
+    assert spliced > 200 and fell_back > 50  # both branches run
+
+
+def _one_slice(text, n):
+    return list(trotter_circuit(parse_hamiltonian(text, n), EvolutionParams(0.7)).gates)
+
+
+@pytest.mark.parametrize(
+    "slice_",
+    [
+        _one_slice("1*Z0", 1),  # its RZ keeps accumulating across copies
+        _one_slice("1*Z0 Z1 + 1*Z0 Z1", 2),
+        # merges to exactly 0.0 across the copy boundary: copy 2 cancels all
+        # of copy 1, so copy 3 starts from an empty stack
+        [Gate.rz(0, 0.5), Gate.h(0), Gate.rz(0, -0.5)],
+        # copy 2 reads the empty stack of qubit 0, where copy 3 would find
+        # copy 2's first S
+        [Gate.sdg(1), Gate.sdg(0), Gate.h(1), Gate.sdg(0), Gate.s(0), Gate.s(0)]
+        + [Gate.rz(1, -0.5), Gate.s(0)],
+        # copy 2's window holds an S from slice position 2 where copy 1's
+        # held the H from position 0
+        [Gate.h(0), Gate.sdg(0), Gate.s(0), Gate.s(0), Gate.h(0)],
+    ],
+)
+def test_products_that_are_not_periodic_take_the_full_pass(slice_):
+    for reps in range(3, 13):
+        runs = _cancel_product(slice_, reps)
+        assert len(runs) == 1
+        assert _bits(_laid_out(runs)) == _bits(_cancel(slice_ * reps))
+
+
+def test_a_product_that_takes_the_full_pass_is_formatted_a_slice_at_a_time():
+    # qubit 2 sees only its field term, whose RZ keeps accumulating across copies
+    h = parse_hamiltonian("0.5*Z0 Z1 + 0.3*X0 + 0.2*Z2", 3)
+    params = EvolutionParams(0.7, 100)
+    runs, _ = _product(h, params, SynthVariant.Z_LADDER, compact=True)
+    chunks = list(_expand(runs))
+    assert len(runs) == 1 and len(chunks) > 1
+    assert max(map(len, chunks)) <= len(trotter_circuit(h, EvolutionParams(0.7)))
+    laid_out = [gate for chunk in chunks for gate in chunk]
+    assert laid_out == list(cancel_adjacent(trotter_circuit(h, params)).gates)
+
+
+def test_a_periodic_product_is_spliced():
+    slice_ = _one_slice("0.5*Z0 Z1 + 0.3*X0", 2)
+    head, middle, tail = _cancel_product(slice_, 8)
+    assert (head[1], middle[1], tail[1]) == (1, 6, 1)
+    assert _bits(head[0] + middle[0] * 6 + tail[0]) == _bits(_cancel(slice_ * 8))

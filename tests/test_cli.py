@@ -14,6 +14,7 @@ from pauliexp import (
     Hamiltonian,
     PauliTerm,
     SynthVariant,
+    cancel_adjacent,
     circuit_unitary,
     emit_qasm,
     exp_pauli_closed_form,
@@ -140,9 +141,45 @@ def test_uncompacted_synth_never_holds_the_product(tmp_path):
     circuit = trotter_circuit(h, EvolutionParams(0.7))
     assert len(circuit) > 30_000
     assert target.read_bytes() == emit_qasm(circuit).encode()
-    # one term's gates and one write batch; the whole product's gates
-    # take several MiB
+    # one term's gates and their text; the whole product's gates take
+    # several MiB
     assert peak < 2**20
+
+
+def test_compacted_trotter_holds_one_slice_not_the_product(tmp_path):
+    rng = Random(31)
+    terms = [PauliTerm(rng.uniform(-1, 1), random_pauli_string(rng, 20, 4)) for _ in range(60)]
+    h = Hamiltonian(20, terms)
+    ham = format_hamiltonian(h)
+    peaks = {}
+    for reps in (3, 100):
+        target = tmp_path / f"reps{reps}.qasm"
+        argv = ["trotter", "--ham", ham, "--n", "20", "--t", "0.7", "--reps", str(reps)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rc = run_cli([*argv, "--compact", "--out", str(target)])
+            peaks[reps] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        compacted = cancel_adjacent(trotter_circuit(h, EvolutionParams(0.7, reps)))
+        assert target.read_bytes() == emit_qasm(compacted).encode()
+    # held as gates, the 100 slices would take several MiB
+    assert len(compacted) > 50_000
+    assert peaks[100] < 1.25 * peaks[3]
+
+
+@pytest.mark.parametrize("reps", ["2", "3", "12"])
+def test_merged_angle_overflow_writes_nothing(reps, tmp_path, capsys):
+    # reps 2 overflows in the full pass, 3 in copy 2 of the splice, 12 in
+    # the full pass after the check fails: a lone RZ keeps accumulating
+    argv = ["trotter", "--ham", "1*Z0", "--n", "1", "--t", "1.7e308", "--reps", reps, "--compact"]
+    target = tmp_path / "overflow.qasm"
+    for out in ([], ["--out", str(target)]):
+        assert run_cli([*argv, *out]) == 1
+        assert capsys.readouterr() == ("", "error: merged rz angle on (0,) overflows\n")
+    assert not target.exists()
 
 
 def test_identity_term_needs_only_a_finite_phase(capsys):
