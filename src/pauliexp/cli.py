@@ -56,11 +56,17 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
     return attached
 
 
+def _echo(text: str) -> str:
+    """``text`` quoted for a message; past 32 characters, more than any float's
+    repr takes, it is named by its length, so the message stays one short line."""
+    return repr(text) if len(text) <= 32 else f"a text of {len(text)} characters"
+
+
 def _ascii(text: str) -> str:
     """``text`` unless it holds what int() and float() take but the
     Hamiltonian grammar does not: a non-ASCII digit or ``_``."""
     if not text.isascii() or "_" in text:
-        raise argparse.ArgumentTypeError(f"must be ASCII with no '_', got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be ASCII with no '_', got {_echo(text)}")
     return text
 
 
@@ -71,7 +77,7 @@ def _number(kind: type[int] | type[float], text: str) -> int | float:
     try:
         return kind(_ascii(text))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {_echo(text)}") from None
 
 
 def _add_common(sub: argparse.ArgumentParser, compact: bool = False, out: bool = False) -> None:

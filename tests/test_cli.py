@@ -347,6 +347,23 @@ def test_qubit_count_past_the_cap_exits_1(ham, n, capsys):
             ["trotter", "--ham", "Z0", "--n", "1", "--t", "1", "--reps", "z"],
             "argument --reps: invalid int value: 'z'",
         ),
+        # past 32 characters, rejected text is named by its length
+        (
+            ["synth", "--ham", "Z0", "--n", "9" * 5000, "--t", "1"],
+            "argument --n: invalid int value: a text of 5000 characters",
+        ),
+        (
+            ["synth", "--ham", "Z0", "--n", "1", "--t", "1_" * 3000],
+            "argument --t: must be ASCII with no '_', got a text of 6000 characters",
+        ),
+        (
+            ["synth", "--ham", "Z0", "--n", "1", "--t", "y" * 32],
+            f"argument --t: invalid float value: '{'y' * 32}'",
+        ),
+        (
+            ["synth", "--ham", "Z0", "--n", "1", "--t", "y" * 33],
+            "argument --t: invalid float value: a text of 33 characters",
+        ),
     ],
 )
 def test_usage_errors_exit_1(argv, err, capsys):
