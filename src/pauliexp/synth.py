@@ -176,7 +176,7 @@ def _product(
         return [(per_term, params.reps)], phase
     slice_ = [g for gates in per_term for g in gates]
     runs = _cancel_product(slice_, params.reps)
-    return [(_chunks(gates, max(len(slice_), 1)), times) for gates, times in runs], phase
+    return [(_chunks(gates, len(slice_)), times) for gates, times in runs], phase
 
 
 def _chunks(gates: Sequence[Gate], size: int) -> Iterator[Sequence[Gate]]:
