@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from contextlib import nullcontext
 from functools import partial
 
@@ -37,6 +37,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
+        # argparse's own, but with the leftover text shown by _echo
+        ns, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {_echo(' '.join(extras), str)}")
+        return ns
+
 
 # options whose value may start with "-": a Hamiltonian "-1*Z0", a file name,
 # or an angle "-1e-3" that argparse's negative-number pattern does not match
@@ -56,10 +63,21 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
     return attached
 
 
-def _echo(text: str) -> str:
-    """``text`` quoted for a message; past 32 characters, more than any float's
-    repr takes, it is named by its length, so the message stays one short line."""
-    return repr(text) if len(text) <= 32 else f"a text of {len(text)} characters"
+def _echo(text: str, form: Callable[[str], str] = repr) -> str:
+    """``form(text)``, quoted by default, for a message; past 32 characters,
+    more than any float's repr takes, it is named by its length, so the
+    message stays one short line."""
+    return form(text) if len(text) <= 32 else f"a text of {len(text)} characters"
+
+
+def _reason(exc: OSError | UnicodeDecodeError) -> str:
+    """``str(exc)``, but a file name too long for the system, which is past
+    32 characters whatever the system, is named by :func:`_echo`."""
+    import errno  # here, so that `import pauliexp.cli` under `python -S` does not load it
+
+    if isinstance(exc, OSError) and exc.errno == errno.ENAMETOOLONG:
+        return f"[Errno {exc.errno}] {exc.strerror}: {_echo(str(exc.filename))}"
+    return str(exc)
 
 
 def _ascii(text: str) -> str:
@@ -80,6 +98,18 @@ def _number(kind: type[int] | type[float], text: str) -> int | float:
         raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {_echo(text)}") from None
 
 
+_VARIANTS = [v.value for v in SynthVariant]
+
+
+def _variant(text: str) -> str:
+    """``text`` if it names a synthesis variant; otherwise argparse's message
+    for an invalid choice, with the text shown by :func:`_echo`."""
+    if text not in _VARIANTS:
+        choices = ", ".join(map(repr, _VARIANTS))
+        raise argparse.ArgumentTypeError(f"invalid choice: {_echo(text)} (choose from {choices})")
+    return text
+
+
 def _add_common(sub: argparse.ArgumentParser, compact: bool = False, out: bool = False) -> None:
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--ham", help="Hamiltonian expression, e.g. '0.5*Z0 Z1 + 0.3*X0'")
@@ -88,7 +118,8 @@ def _add_common(sub: argparse.ArgumentParser, compact: bool = False, out: bool =
     sub.add_argument("--t", type=partial(_number, float), required=True, help="evolution angle t")
     sub.add_argument(
         "--variant",
-        choices=[v.value for v in SynthVariant],
+        type=_variant,
+        choices=_VARIANTS,  # for the help; _variant rejects any other text first
         default=SynthVariant.Z_LADDER.value,
         help="synthesis construction (default: z-ladder)",
     )
@@ -162,15 +193,7 @@ def _emit(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> in
 
 def _verify(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> int:
     # only verify needs the dense oracle, and with it numpy
-    from .oracle import (
-        MAX_EXPM_QUBITS,
-        _check_qubit_cap,
-        _per_term_distance,
-        circuit_unitary,
-        hamiltonian_matrix,
-        matrix_exponential,
-        phase_invariant_distance,
-    )
+    from .oracle import MAX_EXPM_QUBITS, _check_qubit_cap, _exact_distance, _per_term_distance
 
     try:
         _check_qubit_cap(h.n_qubits)
@@ -184,11 +207,7 @@ def _verify(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> 
             print(f"cannot verify --exact: {exc}", file=sys.stderr)
             return 3
     circuit = trotter_circuit(h, params, SynthVariant(ns.variant))
-    if ns.exact:
-        reference = matrix_exponential(hamiltonian_matrix(h), params.t)
-        distance = phase_invariant_distance(circuit_unitary(circuit), reference)
-    else:
-        distance = _per_term_distance(circuit, h, params.t)
+    distance = (_exact_distance if ns.exact else _per_term_distance)(circuit, h, params.t)
     passed = distance <= VERIFY_THRESHOLD
     print(f"{distance:.6e} {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 2
@@ -213,7 +232,7 @@ def run_cli(argv: Sequence[str]) -> int:
         print(f"parse error at offset {exc.position}: {exc.message}", file=sys.stderr)
         return 1
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read Hamiltonian file: {exc}", file=sys.stderr)
+        print(f"cannot read Hamiltonian file: {_reason(exc)}", file=sys.stderr)
         return 1
     except (_UsageError, ValueError) as exc:  # ValueError: --n, --t or --reps out of range
         print(f"usage error: {exc}", file=sys.stderr)
@@ -225,7 +244,7 @@ def run_cli(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
+        print(f"cannot write output: {_reason(exc)}", file=sys.stderr)
         return 1
 
 

@@ -14,6 +14,14 @@ product R, once for each pass of its distance, so it holds no d x d matrix
 and stays near numpy's own floor, about 32 MiB even at n=12. Each gate's
 kernel takes its views once per pass, each term's rotation is set up once
 per ``verify``, and both run on every block without allocating.
+
+The exponential works sector by sector: a Hamiltonian sum_j w_j P_j only
+links basis state s to s ^ x_j, x_j the X mask of P_j, so its matrix is
+block diagonal over the cosets of the span of those masks, and each block
+gets its own small eigendecomposition. ``verify --exact`` takes the blocks'
+exponentials, drops the Hamiltonian's matrix and fills each column block of
+the reference from them beside the same columns of U, so it holds neither
+matrix whole.
 """
 
 from __future__ import annotations
@@ -208,12 +216,14 @@ def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
 
 def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     """Sum of coefficient * pauli_matrix(string); Hermitian by construction.
-    A matrix past the float range raises ValueError, whatever the order of
-    the terms that sum to it."""
+    Each term adds its one nonzero per column in place. A matrix past the
+    float range raises ValueError, whatever the order of the terms that sum
+    to it."""
     if not isinstance(h, Hamiltonian):
         raise TypeError(f"h must be a Hamiltonian, got {_shown(h)}")
     _check_qubit_cap(h.n_qubits)
     dim = 2**h.n_qubits
+    cols = np.arange(dim)
     with np.errstate(over="ignore", invalid="ignore"):
         # where a partial sum overflows, sum again with the coefficients
         # divided by a power of two above the term count, so that only the
@@ -221,19 +231,17 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
         for scale in (1.0, 2.0 ** len(h.terms).bit_length()):
             total = np.zeros((dim, dim), dtype=complex)
             for term in h.terms:
-                total += term.coefficient / scale * pauli_matrix(term.string)
+                flip, phase = _signed_permutation(term.string)
+                total[cols ^ flip, cols] += term.coefficient / scale * phase
             total *= scale
             if np.isfinite(total).all():
                 return total
     raise ValueError("the Hamiltonian's matrix has an entry past the float range")
 
 
-def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*t*m) for Hermitian m, from its eigendecomposition m = V diag(w) V†.
-
-    Deliberately independent of the closed-form route so the two can check
-    each other.
-    """
+def _checked(m: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """m as a complex array and t as a float, once m is known to be a finite
+    Hermitian square matrix within the exponential cap and t finite."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -249,11 +257,87 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
     peak = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
     scale = 2.0 ** max(0, math.frexp(peak)[1] - 500)
     scaled = m / scale if scale > 1 else m
-    deviation = float(np.linalg.norm(scaled - scaled.conj().T))
+    # ||m - m^H|| summed over strips of rows, so no d x d difference is made
+    rows = max(1, _BLOCK_ELEMENTS // max(1, len(m)))
+    squares = 0.0
+    for top in range(0, len(m), rows):
+        strip = scaled[top : top + rows] - scaled[:, top : top + rows].conj().T
+        squares += np.vdot(strip, strip).real
+    deviation = math.sqrt(squares)
     if deviation > 1e-10 * max(1.0 / scale, np.linalg.norm(scaled)):
         raise ValueError(f"matrix is not Hermitian (deviation {deviation * scale:.3e})")
-    w, v = np.linalg.eigh(m)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    return m, t
+
+
+def _sectors(m: np.ndarray, t: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(indices, exponentials) for each size s of the connected blocks of
+    m's nonzero pattern: the rows of the (k, s) ``indices`` are the states
+    of the k blocks of that size, ascending, and ``exponentials`` stacks
+    their exp(-i*t*block), each from the block's eigendecomposition
+    block = V diag(w) V†.
+
+    eigh reads the lower triangle of what it is given, so a block must keep
+    every entry of m's lower triangle that links two states: the pattern is
+    made symmetric, which also links states that only the upper triangle
+    does, and the ascending rows keep each block's lower triangle in m's.
+    """
+    linked = m != 0
+    linked |= linked.T
+    # each state's label falls to the least label it links to, then to that
+    # label's own label, until none moves: the least state of its block
+    labels = np.arange(len(m))
+    while True:
+        lowest = np.where(linked, labels, len(m)).min(axis=1, initial=len(m))
+        lowest = np.minimum(lowest, labels)
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, labels):
+            break
+        labels = lowest
+    sizes = np.bincount(labels, minlength=len(m))[labels]
+    # by block size, then block; lexsort is stable, so each block's states stay ascending
+    order = np.lexsort((labels, sizes))
+    start = 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        indices = order[start : start + count].reshape(-1, size)
+        start += count
+        w, v = np.linalg.eigh(m[indices[:, :, None], indices[:, None, :]])
+        yield indices, (v * np.exp(-1j * t * w)[:, None]) @ np.swapaxes(v.conj(), 1, 2)
+
+
+def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i*t*m) for Hermitian m, sector by sector: m is block diagonal
+    over the connected blocks of its nonzero pattern, each block's
+    exponential comes from its own eigendecomposition, and the result holds
+    the blocks in place and zeros elsewhere.
+
+    Deliberately independent of the closed-form route so the two can check
+    each other.
+    """
+    m, t = _checked(m, t)
+    result = np.zeros(m.shape, dtype=complex)
+    for indices, exponentials in _sectors(m, t):
+        result[indices[:, :, None], indices[:, None, :]] = exponentials
+    return result
+
+
+def _exact_distance(c: QuantumCircuit, h: Hamiltonian, t: float) -> float:
+    """phase_invariant_distance(circuit_unitary(c), matrix_exponential(
+    hamiltonian_matrix(h), t)), bit for bit, with neither U nor the reference
+    built: the Hamiltonian's matrix goes once its sectors' exponentials are
+    taken, and each pass makes a block of U and fills the block's scratch
+    with the same columns of the reference, zeros and the sectors' entries."""
+    sectors = list(_sectors(*_checked(hamiltonian_matrix(h), t)))
+
+    def parts() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for start, block, scratch in _unitary_blocks(c):
+            scratch.fill(0)
+            for indices, exponentials in sectors:
+                # block k's state j is one of this block's columns
+                k, j = np.nonzero((indices >= start) & (indices < start + block.shape[1]))
+                scratch[indices[k].T, indices[k, j] - start] = exponentials[k, :, j].T
+            yield block, scratch
+
+    return _distance(parts)
 
 
 def _per_term_distance(c: QuantumCircuit, h: Hamiltonian, t: float) -> float:

@@ -174,6 +174,13 @@ def reference_hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     return total
 
 
+def reference_matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
+    """matrix_exponential as it was before it went sector by sector, kept as
+    its reference: one eigendecomposition of the whole matrix, with no checks."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
 def reference_apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.ndarray:
     """u <- exp(-i*t*P) @ u in place, the oracle's per-term rotation written
     over dense ops and kept as its reference: the flip mask and the Z/Y

@@ -1,6 +1,8 @@
 """CLI behavior: subcommand output, exit codes, file handling."""
 
+import errno
 import itertools
+import os
 import tracemalloc
 from collections import Counter
 from random import Random
@@ -38,6 +40,7 @@ ZZ_QASM = (
     "rz(1) q[0];\n"
     "cx q[1],q[0];\n"
 )
+VARIANT_CHOICES = "choose from 'z-ladder', 'x-ladder', 'mixed'"
 
 
 def test_synth_writes_exactly_one_qasm_document(capsys):
@@ -364,6 +367,23 @@ def test_qubit_count_past_the_cap_exits_1(ham, n, capsys):
             ["synth", "--ham", "Z0", "--n", "1", "--t", "y" * 33],
             "argument --t: invalid float value: a text of 33 characters",
         ),
+        # argparse's own messages name long text the same way
+        (
+            ["synth", "--ham", "Z0", "--n", "1", "--t", "1", "--variant", "v" * 32],
+            f"argument --variant: invalid choice: '{'v' * 32}' ({VARIANT_CHOICES})",
+        ),
+        (
+            ["synth", "--ham", "Z0", "--n", "1", "--t", "1", "--variant", "v" * 200],
+            f"argument --variant: invalid choice: a text of 200 characters ({VARIANT_CHOICES})",
+        ),
+        (
+            ["synth", "--ham", "Z0", "--n", "1", "--t", "1", "stray", "words"],
+            "unrecognized arguments: stray words",
+        ),
+        (
+            ["synth", "--ham", "Z0", "--n", "1", "--t", "1", "w" * 100, "w" * 99],
+            "unrecognized arguments: a text of 200 characters",
+        ),
     ],
 )
 def test_usage_errors_exit_1(argv, err, capsys):
@@ -411,6 +431,29 @@ def test_missing_ham_file_exits_1(source, tmp_path, capsys):
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
     assert "cannot read" in captured.err
+
+
+def test_file_errors_name_the_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["synth", "--n", "1", "--t", "0.5"]
+    missing = str(tmp_path / "missing" / "cost.ham")
+    assert _run([*argv, "--ham-file", missing], capsys) == (
+        1,
+        "",
+        f"cannot read Hamiltonian file: [Errno 2] No such file or directory: {missing!r}\n",
+    )
+    # a name too long for the system is named by its length
+    too_long = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+    assert _run([*argv, "--ham-file", "h" * 300], capsys) == (
+        1,
+        "",
+        f"cannot read Hamiltonian file: {too_long}: a text of 300 characters\n",
+    )
+    assert _run([*argv, "--ham", "Z0", "--out", "q" * 300], capsys) == (
+        1,
+        "",
+        f"cannot write output: {too_long}: a text of 300 characters\n",
+    )
 
 
 def test_ham_file_with_comments(tmp_path, capsys):
@@ -554,6 +597,22 @@ def test_per_term_verify_holds_no_dense_matrix_at_n10(capsys):
     assert (rc, capsys.readouterr().out[-5:]) == (0, "PASS\n")
     # block-sized arrays only, well below one d x d matrix (16 MiB)
     assert peak <= 10 * 2**20 < d * d * 16
+
+
+def test_exact_verify_holds_neither_u_nor_the_reference_at_n8(capsys):
+    # the Hamiltonian's matrix (1 MiB) lives until its sectors' exponentials
+    # are taken, then the blocks of U and of the reference (512 KiB each);
+    # U, the reference and one eigh of the whole matrix took 5.0 MiB
+    argv = ["verify", "--ham", "0.5*Z0 Z1 X2 + 0.3*X2 Z5 + 0.2*Z7", "--n", "8", "--t", "0.9"]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rc = run_cli([*argv, "--exact"])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (rc, capsys.readouterr().out[-5:]) == (0, "PASS\n")
+    assert peak <= 4 * 2**20
 
 
 def test_per_term_verify_sets_each_term_up_once(monkeypatch, capsys):

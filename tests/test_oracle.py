@@ -25,9 +25,11 @@ from pauliexp import (
 from pauliexp.oracle import _rotation
 from helpers import (
     random_circuit,
+    random_hamiltonian,
     random_pauli_label,
     random_pauli_string,
     reference_circuit_unitary,
+    reference_matrix_exponential,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -256,6 +258,52 @@ def test_matrix_exponential_rejects_non_square(m):
 def test_matrix_exponential_rejects_oversize():
     with pytest.raises(ValueError, match="cap"):
         matrix_exponential(np.eye(2**9, dtype=complex), 1.0)
+
+
+# entrywise agreement of the sector exponential with one eigh of the whole
+# matrix; the two differ in rounding only, by a few 1e-15 at n <= 8
+SECTOR_TOLERANCE = 1e-12
+
+
+def test_sector_exponential_matches_one_eigh_on_dense_hermitian_matrices():
+    # every entry nonzero: one sector holds all the states
+    gen = np.random.default_rng(38)
+    for n in range(1, 9):
+        a = gen.normal(size=(2**n, 2**n)) + 1j * gen.normal(size=(2**n, 2**n))
+        m = (a + a.conj().T) / 2
+        t = gen.uniform(-2.0, 2.0)
+        got = matrix_exponential(m, t)
+        assert np.abs(got - reference_matrix_exponential(m, t)).max() <= SECTOR_TOLERANCE, n
+
+
+def test_sector_exponential_matches_one_eigh_on_hamiltonians():
+    rng = Random(39)
+    for _ in range(40):
+        m = hamiltonian_matrix(random_hamiltonian(rng, max_qubits=8, max_terms=6))
+        t = rng.uniform(-2.0, 2.0)
+        got = matrix_exponential(m, t)
+        assert np.abs(got - reference_matrix_exponential(m, t)).max() <= SECTOR_TOLERANCE
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0)], ids=["upper", "lower"])
+def test_an_entry_in_one_triangle_within_the_hermitian_tolerance(entry):
+    # eight one-state sectors, until an entry below the tolerance
+    # (1e-10 * ||m||, about 2.8e-7 here) links states 0 and 1 on one side of
+    # the diagonal only; eigh reads the lower side, and the lower entry moves
+    # the exponential by far more than SECTOR_TOLERANCE, so a sector split
+    # finer than what eigh reads would show
+    m = np.diag(1000.0 + np.arange(8)).astype(complex)
+    m[entry] = 5e-8
+    got = matrix_exponential(m, 1.0)
+    expected = reference_matrix_exponential(m, 1.0)
+    assert np.abs(got - expected).max() <= SECTOR_TOLERANCE
+    unlinked = reference_matrix_exponential(np.diag(m.diagonal()), 1.0)
+    moved = np.abs(expected - unlinked).max()
+    assert moved > 1e3 * SECTOR_TOLERANCE if entry == (1, 0) else moved == 0.0
+
+
+def test_matrix_exponential_of_an_empty_matrix_is_empty():
+    assert matrix_exponential(np.zeros((0, 0)), 1.0).shape == (0, 0)
 
 
 def test_distance_zero_on_itself_and_under_phase():

@@ -1,12 +1,15 @@
 """The per-term verify distance, streamed over column blocks of U and of
 the per-term product R, against the distance between the whole matrices,
-on correct and on broken circuits and in the CLI's output; and the blocked
-phase-invariant distance against a whole-array evaluation.
+on correct and on broken circuits and in the CLI's output; the --exact
+distance, streamed over the same blocks of U and of the sector-built
+reference, against the public composition of whole matrices; and the
+blocked phase-invariant distance against a whole-array evaluation.
 
-A case is a Hamiltonian of 1-5 terms on 1-10 qubits, commuting (Z and I
-factors only) or not, with Id terms mixed in, plus a synthesis variant and
-an angle. With hypothesis installed the cases come from it; without it,
-from a seeded random loop. A few fixed cases run either way.
+A case is a Hamiltonian of 1-5 terms on 1-10 qubits (1-8 for --exact),
+commuting (Z and I factors only, so a diagonal matrix) or not, with Id
+terms mixed in, plus a synthesis variant and an angle. With hypothesis
+installed the cases come from it; without it, from a seeded random loop. A
+few fixed cases run either way.
 """
 
 import io
@@ -24,14 +27,17 @@ from pauliexp import (
     PauliTerm,
     QuantumCircuit,
     SynthVariant,
+    circuit_unitary,
     format_hamiltonian,
+    hamiltonian_matrix,
+    matrix_exponential,
     parse_hamiltonian,
     phase_invariant_distance,
     trotter_circuit,
 )
 from pauliexp.circuit import CX, RZ, SDG, S
 from pauliexp.cli import VERIFY_THRESHOLD, run_cli
-from pauliexp.oracle import _per_term_distance
+from pauliexp.oracle import MAX_EXPM_QUBITS, _exact_distance, _per_term_distance
 from helpers import label_of, whole_product_distance
 
 try:
@@ -67,12 +73,13 @@ FIXED_CASES = [
 ]
 
 
-def for_cases(examples: int):
-    """Run the decorated check on the fixed cases and ``examples`` drawn ones."""
+def for_cases(examples: int, max_n: int = MAX_N, fixed=FIXED_CASES):
+    """Run the decorated check on the ``fixed`` cases and ``examples`` drawn
+    ones of at most ``max_n`` qubits."""
 
     def decorate(check):
         if st is not None:
-            masks = st.integers(0, 2**MAX_N - 1)
+            masks = st.integers(0, 2**max_n - 1)
             terms = st.lists(
                 st.tuples(masks, masks, st.floats(-2, 2), st.integers(0, 3).map(lambda k: k == 0)),
                 min_size=1,
@@ -80,7 +87,7 @@ def for_cases(examples: int):
             )
             cases = st.builds(
                 case_of,
-                st.integers(1, MAX_N),
+                st.integers(1, max_n),
                 st.sampled_from(list(SynthVariant)),
                 st.booleans(),
                 terms,
@@ -88,7 +95,7 @@ def for_cases(examples: int):
             )
             run = settings(max_examples=examples, derandomize=True, database=None, deadline=None)
             test = given(cases)(check)
-            for case in FIXED_CASES:
+            for case in fixed:
                 test = example(case)(test)
             return run(test)
 
@@ -96,14 +103,14 @@ def for_cases(examples: int):
             rng = Random(check.__name__)
             drawn = []
             for _ in range(examples):
-                n = rng.randint(1, MAX_N)
+                n = rng.randint(1, max_n)
                 terms = [
                     (rng.getrandbits(n), rng.getrandbits(n), rng.uniform(-2, 2), rng.random() < 0.25)
                     for _ in range(rng.randint(1, 5))
                 ]
                 variant = rng.choice(list(SynthVariant))
                 drawn.append(case_of(n, variant, rng.random() < 0.5, terms, rng.uniform(0.1, 1.5)))
-            for case in FIXED_CASES + drawn:
+            for case in fixed + drawn:
                 check(case)
 
         loop.__name__ = check.__name__
@@ -133,6 +140,37 @@ def test_verify_prints_the_distance_to_the_whole_product(case):
     with redirect_stdout(io.StringIO()) as out:
         rc = run_cli([*argv, "--variant", variant.value])
     distance = whole_product_distance(trotter_circuit(h, EvolutionParams(t), variant), h, t)
+    assert out.getvalue() == f"{distance:.6e} {_verdict(distance)}\n", argv
+    assert rc == (0 if _verdict(distance) == "PASS" else 2)
+
+
+N = MAX_EXPM_QUBITS
+EXACT_CASES = [case for case in FIXED_CASES if case[0].n_qubits <= N] + [
+    # the X0 Z1 terms cancel to zero couplings: every sector is one state
+    (parse_hamiltonian("0.5*X0 Z1 - 0.5*X0 Z1 + 0.3*Z0", 2), SynthVariant.Z_LADDER, 0.8),
+    # an X or Y on every qubit, spread over the terms: one sector of 2^8 states
+    (
+        parse_hamiltonian(" + ".join(f"{k + 1}e-1*{'XY'[k % 2]}{k} Z{(k + 3) % N}" for k in range(N)), N),
+        SynthVariant.MIXED,
+        0.7,
+    ),
+    # Z factors only: a diagonal matrix, 2^8 one-state sectors
+    (parse_hamiltonian("0.5*Z0 Z1 Z2 + 0.3*Z2 Z5 - 0.2*Z7 + 0.1*Id", N), SynthVariant.X_LADDER, 1.3),
+    # the CLI's smoke input: 2^7 two-state sectors
+    (parse_hamiltonian("0.5*Z0 Z1 X2 + 0.3*X2 Z5 + 0.2*Z7", N), SynthVariant.Z_LADDER, 0.9),
+]
+
+
+@for_cases(examples=30, max_n=N, fixed=EXACT_CASES)
+def test_streamed_exact_distance_equals_the_public_composition(case):
+    h, variant, t = case
+    c = trotter_circuit(h, EvolutionParams(t), variant)
+    reference = matrix_exponential(hamiltonian_matrix(h), t)
+    distance = phase_invariant_distance(circuit_unitary(c), reference)
+    assert _exact_distance(c, h, t) == distance
+    argv = ["verify", f"--ham={format_hamiltonian(h)}", "--n", str(h.n_qubits), "--t", repr(t)]
+    with redirect_stdout(io.StringIO()) as out:
+        rc = run_cli([*argv, "--variant", variant.value, "--exact"])
     assert out.getvalue() == f"{distance:.6e} {_verdict(distance)}\n", argv
     assert rc == (0 if _verdict(distance) == "PASS" else 2)
 
