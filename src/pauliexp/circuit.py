@@ -344,18 +344,20 @@ def _peephole(
         kept.append(gate)
 
 
-def _cancel_product(gates: list[Gate], reps: int) -> list[tuple[Sequence[Gate], int]]:
-    """:func:`_cancel` of ``gates`` repeated ``reps`` times, as runs of gates,
-    each with the number of times it repeats. When the peephole on two copies
-    of the slice shows the product periodic (:func:`_splice`), the runs are
-    copy 1's survivors, the middle ``reps - 2`` times and copy 2's
-    survivors; otherwise, and for ``reps <= 2``, the full pass is the one
-    run. Either way the pass runs here, so what it raises it raises before
-    the caller reads a gate."""
+def _cancel_product(gates: list[Gate], reps: int) -> list[tuple[Iterable[Sequence[Gate]], int]]:
+    """:func:`_cancel` of ``gates`` repeated ``reps`` times, as runs of chunks,
+    read once, each run with the number of times it repeats. When the
+    peephole on two copies shows the product periodic (:func:`_splice`), the
+    runs are copy 1's survivors, the middle ``reps - 2`` times and copy 2's
+    survivors; otherwise the full pass's survivors are one run, cut to the
+    slice's length. Either way the pass runs here, so what it raises it
+    raises before the caller reads a gate."""
     if reps > 2 and (spliced := _splice(gates)) is not None:
         head, middle, tail = spliced
-        return [(head, 1), (middle, reps - 2), (tail, 1)]
-    return [(_cancel(chain.from_iterable(repeat(gates, reps))), 1)]
+        return [([head], 1), ([middle], reps - 2), ([tail], 1)]
+    kept = _cancel(chain.from_iterable(repeat(gates, reps)))
+    size = max(1, len(gates))  # an identity-only slice is empty, and so is what it leaves
+    return [((kept[start : start + size] for start in range(0, len(kept), size)), 1)]
 
 
 def _splice(gates: list[Gate]) -> tuple[list[Gate], list[Gate], list[Gate]] | None:

@@ -101,13 +101,13 @@ def _number(kind: type[int] | type[float], text: str) -> int | float:
 _VARIANTS = [v.value for v in SynthVariant]
 
 
-def _variant(text: str) -> str:
-    """``text`` if it names a synthesis variant; otherwise argparse's message
+def _variant(text: str) -> SynthVariant:
+    """The synthesis variant ``text`` names; otherwise argparse's message
     for an invalid choice, with the text shown by :func:`_echo`."""
     if text not in _VARIANTS:
         choices = ", ".join(map(repr, _VARIANTS))
         raise argparse.ArgumentTypeError(f"invalid choice: {_echo(text)} (choose from {choices})")
-    return text
+    return SynthVariant(text)
 
 
 def _add_common(sub: argparse.ArgumentParser, compact: bool = False, out: bool = False) -> None:
@@ -119,8 +119,8 @@ def _add_common(sub: argparse.ArgumentParser, compact: bool = False, out: bool =
     sub.add_argument(
         "--variant",
         type=_variant,
-        choices=_VARIANTS,  # for the help; _variant rejects any other text first
-        default=SynthVariant.Z_LADDER.value,
+        metavar="{" + ",".join(_VARIANTS) + "}",
+        default=SynthVariant.Z_LADDER,
         help="synthesis construction (default: z-ladder)",
     )
     if compact:
@@ -180,7 +180,7 @@ def _emit(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> in
     before the target is opened, so an error leaves stdout empty and creates
     no file.
     """
-    runs, phase = _product(h, params, SynthVariant(ns.variant), ns.compact)
+    runs, phase = _product(h, params, ns.variant, ns.compact)
     pieces = _qasm_lines(h.n_qubits, _expand(runs, _qasm_text), phase)
     if ns.out:
         target = open(ns.out, "w", encoding="utf-8", newline="\n")
@@ -206,7 +206,7 @@ def _verify(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> 
         except ValueError as exc:
             print(f"cannot verify --exact: {exc}", file=sys.stderr)
             return 3
-    circuit = trotter_circuit(h, params, SynthVariant(ns.variant))
+    circuit = trotter_circuit(h, params, ns.variant)
     distance = (_exact_distance if ns.exact else _per_term_distance)(circuit, h, params.t)
     passed = distance <= VERIFY_THRESHOLD
     print(f"{distance:.6e} {'PASS' if passed else 'FAIL'}")
@@ -214,7 +214,7 @@ def _verify(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> 
 
 
 def _stats(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> int:
-    runs, _ = _product(h, params, SynthVariant(ns.variant), ns.compact)
+    runs, _ = _product(h, params, ns.variant, ns.compact)
     counts = Counter(gate.kind for gates in _expand(runs) for gate in gates)
     for kind in GATE_KINDS:
         if counts[kind]:

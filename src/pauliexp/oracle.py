@@ -239,36 +239,6 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     raise ValueError("the Hamiltonian's matrix has an entry past the float range")
 
 
-def _checked(m: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-    """m as a complex array and t as a float, once m is known to be a finite
-    Hermitian square matrix within the exponential cap and t finite."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > 2**MAX_EXPM_QUBITS:
-        raise ValueError(
-            f"dimension {m.shape[0]} exceeds the exponential cap of {2**MAX_EXPM_QUBITS}"
-        )
-    t = _finite(t, "t")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has a non-finite entry")
-    # divided by a power of two, which is exact, where an entry reaches 2^500
-    # and the norms below could overflow
-    peak = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
-    scale = 2.0 ** max(0, math.frexp(peak)[1] - 500)
-    scaled = m / scale if scale > 1 else m
-    # ||m - m^H|| summed over strips of rows, so no d x d difference is made
-    rows = max(1, _BLOCK_ELEMENTS // max(1, len(m)))
-    squares = 0.0
-    for top in range(0, len(m), rows):
-        strip = scaled[top : top + rows] - scaled[:, top : top + rows].conj().T
-        squares += np.vdot(strip, strip).real
-    deviation = math.sqrt(squares)
-    if deviation > 1e-10 * max(1.0 / scale, np.linalg.norm(scaled)):
-        raise ValueError(f"matrix is not Hermitian (deviation {deviation * scale:.3e})")
-    return m, t
-
-
 def _sectors(m: np.ndarray, t: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(indices, exponentials) for each size s of the connected blocks of
     m's nonzero pattern: the rows of the (k, s) ``indices`` are the states
@@ -301,6 +271,9 @@ def _sectors(m: np.ndarray, t: float) -> Iterator[tuple[np.ndarray, np.ndarray]]
         indices = order[start : start + count].reshape(-1, size)
         start += count
         w, v = np.linalg.eigh(m[indices[:, :, None], indices[:, None, :]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(t * w).all():
+                raise ValueError("t times an eigenvalue of the matrix is past the float range")
         yield indices, (v * np.exp(-1j * t * w)[:, None]) @ np.swapaxes(v.conj(), 1, 2)
 
 
@@ -313,7 +286,24 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
     Deliberately independent of the closed-form route so the two can check
     each other.
     """
-    m, t = _checked(m, t)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] > 2**MAX_EXPM_QUBITS:
+        raise ValueError(
+            f"dimension {m.shape[0]} exceeds the exponential cap of {2**MAX_EXPM_QUBITS}"
+        )
+    t = _finite(t, "t")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
+    # divided by a power of two, which is exact, where an entry reaches 2^500
+    # and the norms below could overflow
+    peak = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
+    scale = 2.0 ** max(0, math.frexp(peak)[1] - 500)
+    scaled = m / scale if scale > 1 else m
+    deviation = float(np.linalg.norm(scaled - scaled.conj().T))
+    if deviation > 1e-10 * max(1.0 / scale, np.linalg.norm(scaled)):
+        raise ValueError(f"matrix is not Hermitian (deviation {deviation * scale:.3e})")
     result = np.zeros(m.shape, dtype=complex)
     for indices, exponentials in _sectors(m, t):
         result[indices[:, :, None], indices[:, None, :]] = exponentials
@@ -325,8 +315,10 @@ def _exact_distance(c: QuantumCircuit, h: Hamiltonian, t: float) -> float:
     hamiltonian_matrix(h), t)), bit for bit, with neither U nor the reference
     built: the Hamiltonian's matrix goes once its sectors' exponentials are
     taken, and each pass makes a block of U and fills the block's scratch
-    with the same columns of the reference, zeros and the sectors' entries."""
-    sectors = list(_sectors(*_checked(hamiltonian_matrix(h), t)))
+    with the same columns of the reference, zeros and the sectors' entries.
+    The matrix needs no check: it is finite, or hamiltonian_matrix raises,
+    and exactly Hermitian; the caller caps n and gives t as a float."""
+    sectors = list(_sectors(hamiltonian_matrix(h), t))
 
     def parts() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for start, block, scratch in _unitary_blocks(c):

@@ -174,20 +174,7 @@ def _product(
     per_term = (_term_gates(term, angle, variant) for term, angle in zip(h.terms, angles))
     if not compact:
         return [(per_term, params.reps)], phase
-    slice_ = [g for gates in per_term for g in gates]
-    runs = _cancel_product(slice_, params.reps)
-    return [(_chunks(gates, len(slice_)), times) for gates, times in runs], phase
-
-
-def _chunks(gates: Sequence[Gate], size: int) -> Iterator[Sequence[Gate]]:
-    """``gates`` in pieces of at most ``size``: the full pass's survivors, a
-    run of up to ``reps`` slices, are formatted a slice at a time. A run that
-    fits is passed on whole, not copied."""
-    if len(gates) <= size:
-        yield gates
-        return
-    for start in range(0, len(gates), size):
-        yield gates[start : start + size]
+    return _cancel_product([g for gates in per_term for g in gates], params.reps), phase
 
 
 def _expand(

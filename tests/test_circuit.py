@@ -1,6 +1,7 @@
 """Gate/circuit IR: construction, dagger, counts, and peephole cancellation."""
 
 import tracemalloc
+from itertools import chain
 from random import Random
 
 import numpy as np
@@ -263,10 +264,6 @@ def _bits(gates):
     return [(g.kind, g.qubits, None if g.angle is None else g.angle.hex()) for g in gates]
 
 
-def _laid_out(runs):
-    return [gate for gates, times in runs for _ in range(times) for gate in gates]
-
-
 def test_cancel_product_matches_the_full_pass_bit_for_bit():
     """Spliced or not, the runs lay out the full pass's gates and angle bits."""
     rng = Random(27)
@@ -281,7 +278,7 @@ def test_cancel_product_matches_the_full_pass_bit_for_bit():
             slice_ = list(random_circuit(rng, rng.randint(1, 4), rng.randint(0, 12), angles).gates)
         reps = rng.randint(1, 12)
         runs = _cancel_product(slice_, reps)
-        assert _bits(_laid_out(runs)) == _bits(_cancel(slice_ * reps))
+        assert _bits(chain.from_iterable(_expand(runs))) == _bits(_cancel(slice_ * reps))
         if reps > 2:
             spliced += len(runs) == 3
             fell_back += len(runs) == 1
@@ -313,7 +310,7 @@ def test_products_that_are_not_periodic_take_the_full_pass(slice_):
     for reps in range(3, 13):
         runs = _cancel_product(slice_, reps)
         assert len(runs) == 1
-        assert _bits(_laid_out(runs)) == _bits(_cancel(slice_ * reps))
+        assert _bits(chain.from_iterable(_expand(runs))) == _bits(_cancel(slice_ * reps))
 
 
 def test_a_product_that_takes_the_full_pass_is_formatted_a_slice_at_a_time():
@@ -330,6 +327,6 @@ def test_a_product_that_takes_the_full_pass_is_formatted_a_slice_at_a_time():
 
 def test_a_periodic_product_is_spliced():
     slice_ = _one_slice("0.5*Z0 Z1 + 0.3*X0", 2)
-    head, middle, tail = _cancel_product(slice_, 8)
-    assert (head[1], middle[1], tail[1]) == (1, 6, 1)
-    assert _bits(head[0] + middle[0] * 6 + tail[0]) == _bits(_cancel(slice_ * 8))
+    ([head], once), ([middle], times), ([tail], again) = _cancel_product(slice_, 8)
+    assert (once, times, again) == (1, 6, 1)
+    assert _bits(head + middle * 6 + tail) == _bits(_cancel(slice_ * 8))

@@ -394,6 +394,14 @@ def test_usage_errors_exit_1(argv, err, capsys):
         assert stderr == f"usage error: {err}\n"
 
 
+@pytest.mark.parametrize("command", ["synth", "trotter", "verify", "stats"])
+def test_help_lists_the_variant_choices(command, capsys):
+    with pytest.raises(SystemExit) as done:
+        run_cli([command, "--help"])
+    assert done.value.code == 0
+    assert "--variant {z-ladder,x-ladder,mixed}" in capsys.readouterr().out
+
+
 def _run(argv, capsys):
     rc = run_cli(argv)
     captured = capsys.readouterr()
@@ -531,6 +539,16 @@ def test_verify_exact_at_the_edge_of_the_float_range(ham, expected, capsys):
     where a partial sum would overflow, and none prints a numpy warning."""
     argv = ["verify", "--ham", ham, "--n", "1", "--t", "1e-300", "--exact"]
     assert _run(argv, capsys) == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_exact_names_a_spectrum_past_the_float_range(capsys):
+    """Each entry fits in a float, but the commuting terms add up to
+    eigenvalues of +-2e308: an error on stderr, not a NaN verdict."""
+    ham = "1e308*X0 Z1 + 1e308*Z0 Y1"
+    argv = ["verify", "--ham", ham, "--n", "2", "--t", "0.25", "--exact"]
+    message = "error: t times an eigenvalue of the matrix is past the float range\n"
+    assert _run(argv, capsys) == (1, "", message)
 
 
 def _commute(a, b) -> bool:

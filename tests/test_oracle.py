@@ -19,6 +19,7 @@ from pauliexp import (
     exp_pauli_closed_form,
     hamiltonian_matrix,
     matrix_exponential,
+    parse_hamiltonian,
     pauli_matrix,
     phase_invariant_distance,
 )
@@ -204,6 +205,37 @@ def test_hamiltonian_matrix_fits_whatever_its_partial_sums():
         matrix((big, "ZI"), (big, "ZZ"))
 
 
+def test_hamiltonian_matrix_is_exactly_hermitian():
+    """The exact verify path relies on it and skips matrix_exponential's
+    check: also near the float limit, where a partial sum may overflow and
+    the sum is taken again scaled."""
+    rng = Random(40)
+    hamiltonians = [
+        parse_hamiltonian(text, 2)
+        for text in (
+            "1e308*X0 Z1 + 1e308*Z0 Y1",
+            "1e308*X0 Z1 + 1e308*X0 Z1 - 1e308*X0 Z1",
+            "1.5e308*Y0 X1 + 1e308*Y0 X1 - 1.2e308*Y0 X1 + 0.5*Z0 Y1",
+        )
+    ]
+    for case in range(600):
+        h = random_hamiltonian(rng, max_qubits=6, max_terms=8)
+        if case % 2:  # coefficients near the float limit
+            size = rng.choice((1e300, 1e307, 4e307, 1.7e308))
+            terms = tuple(PauliTerm(term.coefficient / 3 * size, term.string) for term in h.terms)
+            h = Hamiltonian(h.n_qubits, terms)
+        hamiltonians.append(h)
+    checked = 0
+    for h in hamiltonians:
+        try:
+            m = hamiltonian_matrix(h)
+        except ValueError:  # an entry past the float range
+            continue
+        assert np.array_equal(m, m.conj().T)
+        checked += 1
+    assert checked > 500
+
+
 def test_matrix_exponential_at_zero():
     m = hamiltonian_matrix(
         Hamiltonian(2, (PauliTerm(1.3, PauliString.from_label("XY")),))
@@ -300,6 +332,23 @@ def test_an_entry_in_one_triangle_within_the_hermitian_tolerance(entry):
     unlinked = reference_matrix_exponential(np.diag(m.diagonal()), 1.0)
     moved = np.abs(expected - unlinked).max()
     assert moved > 1e3 * SECTOR_TOLERANCE if entry == (1, 0) else moved == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "ham, n, t",
+    [
+        ("1e308*X0 Z1 + 1e308*Z0 Y1", 2, 0.25),  # eigenvalues of +-2e308
+        ("1e308*X0 Z1 + 1e308*Z0 Y1", 2, 0.0),  # an infinite eigenvalue even at t = 0
+        ("1e300*X0 Z1 Z2 + 1e300*Z0 X1 Z2 + 1e300*Z0 Z1 X2", 3, 7e7),  # t*w overflows
+    ],
+)
+def test_matrix_exponential_names_a_spectrum_past_the_float_range(ham, n, t):
+    m = hamiltonian_matrix(parse_hamiltonian(ham, n))
+    assert np.isfinite(m).all()
+    message = "^t times an eigenvalue of the matrix is past the float range$"
+    with pytest.raises(ValueError, match=message):
+        matrix_exponential(m, t)
 
 
 def test_matrix_exponential_of_an_empty_matrix_is_empty():

@@ -158,6 +158,9 @@ EXACT_CASES = [case for case in FIXED_CASES if case[0].n_qubits <= N] + [
     (parse_hamiltonian("0.5*Z0 Z1 Z2 + 0.3*Z2 Z5 - 0.2*Z7 + 0.1*Id", N), SynthVariant.X_LADDER, 1.3),
     # the CLI's smoke input: 2^7 two-state sectors
     (parse_hamiltonian("0.5*Z0 Z1 X2 + 0.3*X2 Z5 + 0.2*Z7", N), SynthVariant.Z_LADDER, 0.9),
+    # entries past 2^500, which matrix_exponential scales for its Hermitian
+    # check and _exact_distance never checks
+    (parse_hamiltonian("1e308*Z0 + 1e308*Z0 - 1e308*Z0", 1), SynthVariant.Z_LADDER, 0.25),
 ]
 
 
