@@ -10,25 +10,29 @@ cap at ``MAX_DENSE_QUBITS`` and the Hermitian exponential at
 simulator. The loops run over column blocks of the identity, each run
 through a circuit's gates: ``circuit_unitary`` copies the blocks into U,
 and per-term ``verify`` makes them, and the same columns of the per-term
-product R, once for each pass of its distance, so it holds no d x d matrix
-and stays near numpy's own floor, about 32 MiB even at n=12. Each gate's
-kernel takes its views once per pass, each term's rotation is set up once
-per ``verify``, and both run on every block without allocating.
+product R, once for each pass of its distance. A pass holds one block and
+two scratch arrays of its shape, which the gates, R's columns and the
+difference share, and lets all three go when it ends, so ``verify``
+holds no d x d matrix and stays at numpy's own floor, about 30 MiB of peak
+RSS at n=10. Each gate's kernel takes its views once per pass, each term's
+rotation is set up once per ``verify``, and both run on every block
+without allocating, but for numpy's own ufunc buffer.
 
 The exponential works sector by sector: a Hamiltonian sum_j w_j P_j only
 links basis state s to s ^ x_j, x_j the X mask of P_j, so its matrix is
-block diagonal over the cosets of the span of those masks, and each block
-gets its own small eigendecomposition. ``verify --exact`` takes the blocks'
-exponentials, drops the Hamiltonian's matrix and fills each column block of
-the reference from them beside the same columns of U, so it holds neither
-matrix whole.
+block diagonal, and each block gets its own small eigendecomposition. The
+blocks come from the matrix's XOR-diagonals, the vectors m[c ^ flip, c]
+over c, one per flip: ``matrix_exponential`` reads them off its matrix,
+and ``verify --exact`` sums them from the terms, so it builds no d x d
+matrix. It then fills each column block of the reference from the blocks'
+exponentials beside the same columns of U, so it holds neither matrix
+whole.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator
-from functools import partial
 
 import numpy as np
 
@@ -37,8 +41,9 @@ from .paulis import Hamiltonian, PauliString, _bits
 
 MAX_DENSE_QUBITS = 12
 MAX_EXPM_QUBITS = 8
-# elements in one block of the blocked loops below (512 KiB of complex128)
-_BLOCK_ELEMENTS = 2**15
+# elements in one block of the blocked loops below (256 KiB of complex128);
+# half of it made per-term verify at n=12 take a third longer
+_BLOCK_ELEMENTS = 2**14
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) * (1 / math.sqrt(2))
 
@@ -145,30 +150,41 @@ def _kernel(
     viewed with shape (2,)*n + (m,), with its views taken once, here.
 
     ``gathered`` and ``product`` are scratch arrays of the tensor's shape,
-    shared by all kernels, so no gate allocates. CX, CZ, S and Sdg only move
-    entries or multiply them by -1, i or -i, which a copy or an elementwise
-    multiply does exactly; their nonzero results equal the matrix product's
-    bit for bit. H, RZ and RX keep the steps of ``np.tensordot`` on the
-    qubit's axis (gather it to the front, one matrix product, scatter back),
-    so the bits are theirs: elementwise arithmetic would round differently.
+    shared by all kernels, so no gate allocates: the strided parts of the
+    tensor only take plain copies, through contiguous parts of the scratch,
+    as numpy copies a part that may overlap its source and buffers a
+    strided operand of a ufunc. CX, CZ, S and Sdg only move entries or
+    multiply them by -1, i or -i, which a copy or an elementwise multiply
+    does exactly; their nonzero results equal the matrix product's bit for
+    bit. H, RZ and RX keep the steps of ``np.tensordot`` on the qubit's axis
+    (gather it to the front, one matrix product, scatter back), so the bits
+    are theirs: elementwise arithmetic would round differently.
     """
     qubits = gate.qubits
     # the gate's axes first, the others in order
     view = tensor.transpose(qubits + tuple(a for a in range(tensor.ndim) if a not in qubits))
     if gate.kind == CX:
         # swap the target's 0 and 1 parts where the control is 1
-        zero, one, saved = view[1, 0], view[1, 1], gathered[1, 0]
+        zero, one, saved_zero, saved_one = view[1, 0], view[1, 1], gathered[1, 0], gathered[1, 1]
 
         def swap() -> None:
-            saved[...] = zero
-            zero[...] = one
-            one[...] = saved
+            saved_zero[...] = zero
+            saved_one[...] = one
+            zero[...] = saved_one
+            one[...] = saved_zero
 
         return swap
     if gate.kind in _PHASE_FACTORS:
         # multiply the part where the gate's qubits are all 1
-        part = view[(1,) * len(qubits)]
-        return partial(np.multiply, part, _PHASE_FACTORS[gate.kind], out=part)
+        index = (1,) * len(qubits)
+        part, saved, factor = view[index], gathered[index], _PHASE_FACTORS[gate.kind]
+
+        def phase() -> None:
+            saved[...] = part
+            np.multiply(saved, factor, out=saved)
+            part[...] = saved
+
+        return phase
     matrix = _gate_matrix(gate)
 
     def multiply() -> None:
@@ -179,11 +195,14 @@ def _kernel(
     return multiply
 
 
-def _unitary_blocks(c: QuantumCircuit) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(start, block, scratch) for each block of ``circuit_unitary(c)``'s
-    columns, start.. in order, phase included: one array, reused, whose
-    column values do not depend on the block they are computed in; scratch
-    is an array of its shape, free until the next block."""
+def _unitary_blocks(
+    c: QuantumCircuit,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(start, block, gathered, product) for each block of
+    ``circuit_unitary(c)``'s columns, start.. in order, phase included: one
+    array, reused, whose column values do not depend on the block they are
+    computed in; gathered and product, the kernels' scratch, are arrays of
+    its shape, free until the next block."""
     n = c.n_qubits
     dim = 2**n
     width = min(dim, _BLOCK_ELEMENTS // dim)  # each block is one part of :func:`_distance`
@@ -198,7 +217,7 @@ def _unitary_blocks(c: QuantumCircuit) -> Iterator[tuple[int, np.ndarray, np.nda
         if c.global_phase != 0.0:
             # scalar first, as in exp(i*phase) * u: the operand order fixes the bits
             np.multiply(np.exp(1j * c.global_phase), block, out=block)
-        yield start, block, gathered.reshape(dim, width)
+        yield start, block, gathered.reshape(dim, width), product.reshape(dim, width)
 
 
 def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
@@ -209,72 +228,112 @@ def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
     _check_qubit_cap(c.n_qubits)
     dim = 2**c.n_qubits
     u = np.empty((dim, dim), dtype=complex)
-    for start, block, _ in _unitary_blocks(c):
+    for start, block, _, _ in _unitary_blocks(c):
         u[:, start : start + block.shape[1]] = block
     return u
 
 
-def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
-    """Sum of coefficient * pauli_matrix(string); Hermitian by construction.
-    Each term adds its one nonzero per column in place. A matrix past the
-    float range raises ValueError, whatever the order of the terms that sum
-    to it."""
-    if not isinstance(h, Hamiltonian):
-        raise TypeError(f"h must be a Hamiltonian, got {_shown(h)}")
-    _check_qubit_cap(h.n_qubits)
+def _diagonals(h: Hamiltonian) -> dict[int, np.ndarray]:
+    """{flip: v} for each X mask flip of h's terms, v[c] = H[c ^ flip, c]
+    for H = sum of coefficient * pauli_matrix(string): each term adds its
+    one nonzero per column to the vector of its flip, in term order. A sum
+    past the float range raises ValueError, whatever the order of the terms
+    that sum to it."""
     dim = 2**h.n_qubits
-    cols = np.arange(dim)
     with np.errstate(over="ignore", invalid="ignore"):
         # where a partial sum overflows, sum again with the coefficients
         # divided by a power of two above the term count, so that only the
         # product back can overflow; both steps are exact on normal floats
         for scale in (1.0, 2.0 ** len(h.terms).bit_length()):
-            total = np.zeros((dim, dim), dtype=complex)
+            diagonals: dict[int, np.ndarray] = {}
             for term in h.terms:
                 flip, phase = _signed_permutation(term.string)
-                total[cols ^ flip, cols] += term.coefficient / scale * phase
-            total *= scale
-            if np.isfinite(total).all():
-                return total
+                if flip not in diagonals:
+                    diagonals[flip] = np.zeros(dim, dtype=complex)
+                diagonals[flip] += term.coefficient / scale * phase
+            for v in diagonals.values():
+                v *= scale
+            if all(np.isfinite(v).all() for v in diagonals.values()):
+                return diagonals
     raise ValueError("the Hamiltonian's matrix has an entry past the float range")
 
 
-def _sectors(m: np.ndarray, t: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(indices, exponentials) for each size s of the connected blocks of
-    m's nonzero pattern: the rows of the (k, s) ``indices`` are the states
-    of the k blocks of that size, ascending, and ``exponentials`` stacks
-    their exp(-i*t*block), each from the block's eigendecomposition
-    block = V diag(w) V†.
+def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
+    """Sum of coefficient * pauli_matrix(string); Hermitian by construction.
+    The :func:`_diagonals` vectors, each scattered to its XOR-diagonal. A
+    matrix past the float range raises ValueError, whatever the order of the
+    terms that sum to it."""
+    if not isinstance(h, Hamiltonian):
+        raise TypeError(f"h must be a Hamiltonian, got {_shown(h)}")
+    _check_qubit_cap(h.n_qubits)
+    diagonals = _diagonals(h)
+    cols = np.arange(2**h.n_qubits)
+    total = np.zeros((len(cols), len(cols)), dtype=complex)
+    for flip, v in diagonals.items():
+        total[cols ^ flip, cols] = v
+    return total
 
-    eigh reads the lower triangle of what it is given, so a block must keep
-    every entry of m's lower triangle that links two states: the pattern is
-    made symmetric, which also links states that only the upper triangle
-    does, and the ascending rows keep each block's lower triangle in m's.
+
+def _sectors(
+    diagonals: dict[int, np.ndarray], dim: int, t: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(indices, exponentials) for each size s of the sectors of the dim x
+    dim Hermitian m given by its XOR-diagonals, ``diagonals[flip][c] =
+    m[c ^ flip, c]``, a flip left out being zero: the rows of the (k, s)
+    ``indices`` are the states of the k sectors of that size, ascending, and
+    ``exponentials`` stacks their exp(-i*t*block), each from the block's
+    eigendecomposition block = V diag(w) V†.
+
+    A sector is a connected block of m's nonzero pattern. eigh reads the
+    lower triangle of what it is given, so a block must keep every entry of
+    m's lower triangle that links two states: c and c ^ flip are linked
+    where m[c ^ flip, c] or m[c, c ^ flip] is nonzero, which also links
+    states that only the upper triangle does, and the ascending rows keep
+    each block's lower triangle in m's. An entry that sums to zero links
+    nothing. Only vectors of length dim are made, and the blocks themselves.
     """
-    linked = m != 0
-    linked |= linked.T
+    states = np.arange(dim)
+    edges = []  # (c, c ^ flip) over the linked c, so each link both ways round
+    for flip, v in diagonals.items():
+        if flip:
+            linked = v != 0
+            linked |= linked[states ^ flip]
+            edges.append((states[linked], states[linked] ^ flip))
     # each state's label falls to the least label it links to, then to that
-    # label's own label, until none moves: the least state of its block
-    labels = np.arange(len(m))
+    # label's own label, until none moves: the least state of its sector
+    labels = states
     while True:
-        lowest = np.where(linked, labels, len(m)).min(axis=1, initial=len(m))
-        lowest = np.minimum(lowest, labels)
+        lowest = labels.copy()
+        for c, partner in edges:
+            lowest[c] = np.minimum(lowest[c], labels[partner])
         lowest = lowest[lowest]
         if np.array_equal(lowest, labels):
             break
         labels = lowest
-    sizes = np.bincount(labels, minlength=len(m))[labels]
-    # by block size, then block; lexsort is stable, so each block's states stay ascending
+    sizes = np.bincount(labels, minlength=dim)[labels]
+    # by sector size, then sector; lexsort is stable, so each sector's states stay ascending
     order = np.lexsort((labels, sizes))
+    place = np.empty_like(order)
+    place[order] = states  # each state's position in order
     start = 0
     for size, count in zip(*np.unique(sizes, return_counts=True)):
         indices = order[start : start + count].reshape(-1, size)
+        # m[r, c] for r, c in one sector goes to that block's row r, column c
+        blocks = np.zeros((len(indices), size, size), dtype=complex)
+        group = indices.ravel()
+        for flip, v in diagonals.items():
+            c = group[labels[group ^ flip] == labels[group]]
+            at, at_r = place[c] - start, place[c ^ flip] - start
+            blocks[at // size, at_r % size, at % size] = v[c]
         start += count
-        w, v = np.linalg.eigh(m[indices[:, :, None], indices[:, None, :]])
+        w, vectors = np.linalg.eigh(blocks)
+        del blocks
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(t * w).all():
                 raise ValueError("t times an eigenvalue of the matrix is past the float range")
-        yield indices, (v * np.exp(-1j * t * w)[:, None]) @ np.swapaxes(v.conj(), 1, 2)
+        # (V * phases) @ V†, with V conjugated in place once the scaled copy is made
+        scaled = vectors * np.exp(-1j * t * w)[:, None]
+        yield indices, scaled @ np.swapaxes(np.conj(vectors, out=vectors), 1, 2)
 
 
 def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
@@ -304,30 +363,34 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
     deviation = float(np.linalg.norm(scaled - scaled.conj().T))
     if deviation > 1e-10 * max(1.0 / scale, np.linalg.norm(scaled)):
         raise ValueError(f"matrix is not Hermitian (deviation {deviation * scale:.3e})")
+    states = np.arange(len(m))
+    # m's nonzero XOR-diagonals
+    diagonals = {flip: m[states ^ flip, states] for flip in range(len(m))}
+    diagonals = {flip: v for flip, v in diagonals.items() if v.any()}
     result = np.zeros(m.shape, dtype=complex)
-    for indices, exponentials in _sectors(m, t):
+    for indices, exponentials in _sectors(diagonals, len(m), t):
         result[indices[:, :, None], indices[:, None, :]] = exponentials
     return result
 
 
 def _exact_distance(c: QuantumCircuit, h: Hamiltonian, t: float) -> float:
     """phase_invariant_distance(circuit_unitary(c), matrix_exponential(
-    hamiltonian_matrix(h), t)), bit for bit, with neither U nor the reference
-    built: the Hamiltonian's matrix goes once its sectors' exponentials are
-    taken, and each pass makes a block of U and fills the block's scratch
-    with the same columns of the reference, zeros and the sectors' entries.
-    The matrix needs no check: it is finite, or hamiltonian_matrix raises,
-    and exactly Hermitian; the caller caps n and gives t as a float."""
-    sectors = list(_sectors(hamiltonian_matrix(h), t))
+    hamiltonian_matrix(h), t)), bit for bit, with none of the three matrices
+    built: the sectors come from h's XOR-diagonals, and each pass makes a
+    block of U and fills one of the kernels' scratch arrays with the same
+    columns of the reference, zeros and the sectors' entries. The diagonals need no
+    check: they are finite, or _diagonals raises, and H is exactly
+    Hermitian; the caller caps n and gives t as a float."""
+    sectors = list(_sectors(_diagonals(h), 2**h.n_qubits, t))
 
-    def parts() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for start, block, scratch in _unitary_blocks(c):
-            scratch.fill(0)
+    def parts() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        for start, block, reference, free in _unitary_blocks(c):
+            reference.fill(0)
             for indices, exponentials in sectors:
                 # block k's state j is one of this block's columns
                 k, j = np.nonzero((indices >= start) & (indices < start + block.shape[1]))
-                scratch[indices[k].T, indices[k, j] - start] = exponentials[k, :, j].T
-            yield block, scratch
+                reference[indices[k].T, indices[k, j] - start] = exponentials[k, :, j].T
+            yield block, reference, free
 
     return _distance(parts)
 
@@ -335,36 +398,39 @@ def _exact_distance(c: QuantumCircuit, h: Hamiltonian, t: float) -> float:
 def _per_term_distance(c: QuantumCircuit, h: Hamiltonian, t: float) -> float:
     """phase_invariant_distance(circuit_unitary(c), R), bit for bit, for R the
     per-term reference of h at t, with neither matrix built: each pass makes
-    a block of U and the same columns of R, term by term, first term first."""
+    a block of U and the same columns of R, term by term, first term first,
+    in one of the kernels' scratch arrays."""
     rotations = [_rotation(term.string, t * term.coefficient) for term in h.terms]
 
-    def parts() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        reference = None
-        for start, block, scratch in _unitary_blocks(c):
-            reference = np.empty_like(block) if reference is None else reference
+    def parts() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        for start, block, reference, free in _unitary_blocks(c):
             reference.fill(0)
             np.fill_diagonal(reference[start:], 1)
             for rotate in rotations:
-                rotate(reference, scratch)
-            yield block, reference
+                rotate(reference, free)
+            yield block, reference, free
 
     return _distance(parts)
 
 
-def _distance(parts: Callable[[], Iterable[tuple[np.ndarray, np.ndarray]]]) -> float:
+def _distance(
+    parts: Callable[[], Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]],
+) -> float:
     """min over phi of ||a - exp(i*phi)*b||, for a and b cut into the
     matching contiguous 2-D parts that ``parts()`` yields afresh for each
-    pass: the overlap vdot(b, a), which fixes phi, then the squared norm of
-    the difference, each summed part by part. Each caller cuts parts of
-    ``_BLOCK_ELEMENTS`` elements for the row count, so their bits agree."""
-    overlap = 0j
-    for a, b in parts():
-        overlap += np.vdot(b, a)
+    pass, each with a free array of their shape: the overlap vdot(b, a),
+    which fixes phi, then the squared norm of the difference, made in the
+    free array, each summed part by part. No part outlives its pass. Each
+    caller cuts parts of ``_BLOCK_ELEMENTS`` elements for the row count, so
+    their bits agree."""
+    overlap = sum((np.vdot(b, a) for a, b, _ in parts()), 0j)
     w = np.exp(1j * np.angle(overlap))
     total = 0.0
-    for a, b in parts():
-        diff = a - w * b
-        total += np.vdot(diff, diff).real
+    for a, b, free in parts():
+        # a - w * b, with the ufuncs and operand order that fix its bits
+        np.multiply(w, b, out=free)
+        np.subtract(a, free, out=free)
+        total += np.vdot(free, free).real
     return math.sqrt(total)
 
 
@@ -376,7 +442,8 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     there instead of expanding ||a||^2 + ||b||^2 - 2|trace| keeps full
     precision near zero, where the expanded form cancels catastrophically.
     The sums run over parts of the columns that it cuts here (a 1-D input
-    is one row), so no temporary larger than a part is made.
+    is one row), each copied into one of three part-sized buffers, so no
+    other temporary is made.
     """
     for name, m in (("a", a), ("b", b)):
         if not isinstance(m, np.ndarray):
@@ -385,8 +452,17 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     rows, cols = (len(a), math.prod(a.shape[1:])) if a.ndim > 1 else (1, a.size)
     a, b = a.reshape(rows, cols), b.reshape(rows, cols)
-    width = max(1, _BLOCK_ELEMENTS // max(1, rows))
-    cuts = [slice(start, start + width) for start in range(0, cols, width)]
-    return _distance(
-        lambda: ((np.ascontiguousarray(a[:, c]), np.ascontiguousarray(b[:, c])) for c in cuts)
-    )
+    width = max(1, min(cols, _BLOCK_ELEMENTS // max(1, rows)))
+    # the difference takes the dtype of a - w * b, w a complex scalar
+    dtypes = (a.dtype, b.dtype, np.result_type(a, b, 1j))
+    buffers = [np.empty(rows * width, dtype) for dtype in dtypes]
+
+    def parts() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        for start in range(0, cols, width):
+            shape = (rows, min(width, cols - start))
+            part_a, part_b, free = (buffer[: math.prod(shape)].reshape(shape) for buffer in buffers)
+            part_a[...] = a[:, start : start + width]
+            part_b[...] = b[:, start : start + width]
+            yield part_a, part_b, free
+
+    return _distance(parts)

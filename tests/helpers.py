@@ -181,6 +181,34 @@ def reference_matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
+def reference_sectors(m: np.ndarray, t: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The oracle's sectors as first found, from m's dense nonzero pattern,
+    kept as the bit reference for the sectors built from XOR-diagonals:
+    (indices, exponentials) for each sector size, ascending, each row of
+    indices one sector's states, ascending, and exponentials their stacked
+    exp(-i*t*block). Each state's label falls to the least label it links
+    to, then to that label's own label, until none moves."""
+    linked = m != 0
+    linked |= linked.T
+    labels = np.arange(len(m))
+    while True:
+        lowest = np.where(linked, labels, len(m)).min(axis=1, initial=len(m))
+        lowest = np.minimum(lowest, labels)
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, labels):
+            break
+        labels = lowest
+    sizes = np.bincount(labels, minlength=len(m))[labels]
+    order = np.lexsort((labels, sizes))
+    sectors, start = [], 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        indices = order[start : start + count].reshape(-1, size)
+        start += count
+        w, v = np.linalg.eigh(m[indices[:, :, None], indices[:, None, :]])
+        sectors.append((indices, (v * np.exp(-1j * t * w)[:, None]) @ np.swapaxes(v.conj(), 1, 2)))
+    return sectors
+
+
 def reference_apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.ndarray:
     """u <- exp(-i*t*P) @ u in place, the oracle's per-term rotation written
     over dense ops and kept as its reference: the flip mask and the Z/Y
