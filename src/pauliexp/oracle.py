@@ -105,12 +105,9 @@ def exp_pauli_closed_form(p: PauliString, t: float) -> np.ndarray:
     This closed form is the ground truth every synthesized circuit is
     checked against. ``t`` is checked as :func:`matrix_exponential` checks it.
     """
-    if not isinstance(p, PauliString):
-        raise TypeError(f"p must be a PauliString, got {_shown(p)}")
-    _check_qubit_cap(p.n_qubits)
+    m = pauli_matrix(p)
     t = _finite(t, "t")
-    dim = 2**p.n_qubits
-    return math.cos(t) * np.eye(dim, dtype=complex) - 1j * math.sin(t) * pauli_matrix(p)
+    return math.cos(t) * np.eye(len(m), dtype=complex) - 1j * math.sin(t) * m
 
 
 def _rotation(p: PauliString, t: float) -> Callable[[np.ndarray, np.ndarray], None]:

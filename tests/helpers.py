@@ -1,9 +1,11 @@
-"""Shared random generators and reference implementations for the test suite.
+"""Shared random generators, reference implementations and test machinery
+for the test suite: the property-test harness and the memory probe.
 
 All random generators take a seeded Random from the caller.
 """
 
 import math
+import tracemalloc
 from functools import reduce
 from random import Random
 
@@ -21,7 +23,54 @@ from pauliexp import (
 )
 from pauliexp.synth import _term_gates
 
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - depends on the environment
+    st = None
+
 PAULI_CHARS = "IXYZ"
+
+
+def property_test(examples: int, strategy, draw, fixed=()):
+    """Run the decorated check on the ``fixed`` cases and ``examples`` drawn
+    ones. With hypothesis installed they come from ``strategy(st)``,
+    derandomized; without it, from ``draw(rng)`` in a loop named after the
+    check, with ``rng = Random(check.__name__)``."""
+
+    def decorate(check):
+        if st is not None:
+            test = given(strategy(st))(check)
+            for case in fixed:
+                test = example(case)(test)
+            run = settings(max_examples=examples, derandomize=True, database=None, deadline=None)
+            return run(test)
+
+        def loop():
+            rng = Random(check.__name__)
+            for case in fixed:
+                check(case)
+            for _ in range(examples):
+                check(draw(rng))
+
+        loop.__name__ = check.__name__
+        return loop
+
+    return decorate
+
+
+def traced(fn, *args):
+    """(fn(*args), peak, retained): the bytes allocated at fn's peak and
+    those still allocated when it returned, above what was live at
+    ``tracemalloc.start()``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, retained - before
 
 
 def random_pauli_label(rng: Random, n: int, min_weight: int = 0) -> str:
@@ -34,6 +83,24 @@ def random_pauli_label(rng: Random, n: int, min_weight: int = 0) -> str:
 def label_of(n: int, x: int, z: int) -> str:
     """Character k is I, X, Z or Y for bits (x_k, z_k) = 00, 10, 01, 11."""
     return "".join("IXZY"[(x >> k & 1) | (z >> k & 1) << 1] for k in range(n))
+
+
+def for_labels(min_n: int, max_n: int, examples: int = 100):
+    """Run the decorated check on ``examples`` labels of min_n..max_n qubits,
+    each drawn as two random masks and spelled out by :func:`label_of`."""
+
+    def strategy(st):
+        return st.integers(min_n, max_n).flatmap(
+            lambda n: st.builds(
+                label_of, st.just(n), st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)
+            )
+        )
+
+    def draw(rng):
+        n = rng.randint(min_n, max_n)
+        return label_of(n, rng.getrandbits(n), rng.getrandbits(n))
+
+    return property_test(examples, strategy, draw)
 
 
 def random_pauli_string(rng: Random, n: int, min_weight: int = 0) -> PauliString:

@@ -1,6 +1,5 @@
 """Gate/circuit IR: construction, dagger, counts, and peephole cancellation."""
 
-import tracemalloc
 from itertools import chain
 from random import Random
 
@@ -25,7 +24,7 @@ from pauliexp import (
 from pauliexp.circuit import _cancel, _cancel_product, _trusted_gate
 from pauliexp.parser import parse_hamiltonian
 from pauliexp.synth import _expand, _product, _term_gates
-from helpers import random_circuit, random_hamiltonian, reference_cancel_adjacent
+from helpers import random_circuit, random_hamiltonian, reference_cancel_adjacent, traced
 
 
 def test_construction_checks_bounds():
@@ -239,12 +238,7 @@ def test_cancel_adjacent_matches_reference_on_cancel_prone_circuits():
 
 def test_cancel_adjacent_memory_follows_the_gates_not_the_width():
     c = QuantumCircuit(10**6, (Gate.cx(0, 1), Gate.rz(1, 0.5)))
-    tracemalloc.start()
-    try:
-        compacted = cancel_adjacent(c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    compacted, peak, _ = traced(cancel_adjacent, c)
     assert compacted == c
     assert peak < 2**20
 

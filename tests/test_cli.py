@@ -3,7 +3,6 @@
 import errno
 import itertools
 import os
-import tracemalloc
 from collections import Counter
 from random import Random
 
@@ -30,7 +29,7 @@ from pauliexp import (
 )
 from pauliexp import oracle
 from pauliexp.cli import VERIFY_THRESHOLD, run_cli
-from helpers import random_pauli_string
+from helpers import random_pauli_string, traced
 
 ZZ_QASM = (
     "OPENQASM 2.0;\n"
@@ -132,13 +131,7 @@ def test_uncompacted_synth_never_holds_the_product(tmp_path):
     target = tmp_path / "wide.qasm"
     # --out, not stdout: captured stdout would hold the whole document
     argv = ["synth", "--ham", ham, "--n", "1000", "--t", "0.7", "--out", str(target)]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        rc = run_cli(argv)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    rc, peak, _ = traced(run_cli, argv)
     assert rc == 0
     h = parse_hamiltonian(ham, 1000)
     circuit = trotter_circuit(h, EvolutionParams(0.7))
@@ -158,13 +151,7 @@ def test_compacted_trotter_holds_one_slice_not_the_product(tmp_path):
     for reps in (3, 100):
         target = tmp_path / f"reps{reps}.qasm"
         argv = ["trotter", "--ham", ham, "--n", "20", "--t", "0.7", "--reps", str(reps)]
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            rc = run_cli([*argv, "--compact", "--out", str(target)])
-            peaks[reps] = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        rc, peaks[reps], _ = traced(run_cli, [*argv, "--compact", "--out", str(target)])
         assert rc == 0
         compacted = cancel_adjacent(trotter_circuit(h, EvolutionParams(0.7, reps)))
         assert target.read_bytes() == emit_qasm(compacted).encode()
@@ -605,13 +592,7 @@ def test_verify_output_is_replayable_from_public_oracle_calls(capsys):
 def test_per_term_verify_holds_no_dense_matrix_at_n10(capsys):
     n, d = 10, 2**10
     h = "0.3*X0 Y1 Z2 X3 Y4 Z5 X6 Y7 Z8 X9 + 0.2*Z0 Z1 Z2 Z3 Z4 + 0.1*Y0 Y1 X2 X3 Z4 Z5 Y6 Y7 X8 X9"
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        rc = run_cli(["verify", "--ham", h, "--n", str(n), "--t", "0.4"])
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    rc, peak, _ = traced(run_cli, ["verify", "--ham", h, "--n", str(n), "--t", "0.4"])
     assert (rc, capsys.readouterr().out[-5:]) == (0, "PASS\n")
     # one set of block buffers (768 KiB) and the terms' set-up, far below
     # one d x d matrix (16 MiB); 1.24 MiB measured
@@ -625,13 +606,7 @@ def test_exact_verify_holds_neither_u_nor_the_reference_at_n8(capsys):
     # labelling it through d x d arrays took 3.1 MiB with 512 KiB blocks, and
     # U, the reference and one eigh of the whole H 5.0 MiB
     argv = ["verify", "--ham", "0.5*Z0 Z1 X2 + 0.3*X2 Z5 + 0.2*Z7", "--n", "8", "--t", "0.9"]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        rc = run_cli([*argv, "--exact"])
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    rc, peak, _ = traced(run_cli, [*argv, "--exact"])
     assert (rc, capsys.readouterr().out[-5:]) == (0, "PASS\n")
     assert peak <= 1.5 * 2**20
 

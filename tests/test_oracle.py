@@ -3,7 +3,6 @@ the Hermitian exponential, and the phase-invariant distance."""
 
 import itertools
 import math
-import tracemalloc
 from random import Random
 
 import numpy as np
@@ -34,6 +33,7 @@ from helpers import (
     random_pauli_string,
     reference_circuit_unitary,
     reference_matrix_exponential,
+    traced,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -405,25 +405,14 @@ def test_blocked_circuit_unitary_equals_whole_matrix_loop(n):
         assert np.array_equal(circuit_unitary(c), reference_circuit_unitary(c))
 
 
-def _traced_peak(fn, *args) -> int:
-    """Bytes allocated by fn(*args) at its peak, above what was live before."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_dense_oracle_holds_only_its_result_at_n10():
     n, d = 10, 2**10
     c = random_circuit(Random(37), n, 12)
-    assert _traced_peak(circuit_unitary, c) <= 1.25 * d * d * 16
+    assert traced(circuit_unitary, c)[1] <= 1.25 * d * d * 16
     u = circuit_unitary(c)
     ref = np.eye(d, dtype=complex)
     # three part-sized buffers of 256 KiB; 0.75 MiB measured
-    assert _traced_peak(phase_invariant_distance, u, ref) <= 2**20
+    assert traced(phase_invariant_distance, u, ref)[1] <= 2**20
 
 
 def test_per_term_distance_holds_one_set_of_block_buffers_at_n10():
@@ -434,4 +423,4 @@ def test_per_term_distance_holds_one_set_of_block_buffers_at_n10():
     ham = "0.3*X0 Y1 Z2 X3 Y4 Z5 X6 Y7 Z8 X9 + 0.2*Z0 Z1 Z2 Z3 Z4 + 0.1*Y0 X5 Z9"
     h = parse_hamiltonian(ham, 10)
     c = trotter_circuit(h, EvolutionParams(0.4), SynthVariant.Z_LADDER)
-    assert _traced_peak(_per_term_distance, c, h, 0.4) < 5 * _BLOCK_ELEMENTS * 16
+    assert traced(_per_term_distance, c, h, 0.4)[1] < 5 * _BLOCK_ELEMENTS * 16

@@ -1,12 +1,11 @@
 """The bit-mask core of PauliString against dense references.
 
 Each label is drawn as two random masks and spelled out one character per
-qubit here, so the reference never goes through the library's own mask
-code. With hypothesis installed the masks come from it; without it, from a
-seeded random loop.
+qubit by ``helpers.label_of``, so the reference never goes through the
+library's own mask code. With hypothesis installed the masks come from it;
+without it, from a seeded random loop (see ``helpers.property_test``).
 """
 
-import tracemalloc
 from random import Random
 
 import numpy as np
@@ -24,42 +23,12 @@ from pauliexp import (
 )
 from pauliexp.oracle import _rotation
 from helpers import (
-    label_of,
+    for_labels,
     reference_apply_exp_pauli,
     reference_hamiltonian_matrix,
     reference_pauli_matrix,
+    traced,
 )
-
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-except ImportError:  # pragma: no cover - depends on the environment
-    st = None
-
-
-def for_labels(min_n: int, max_n: int, examples: int = 100):
-    """Run the decorated check on ``examples`` labels of min_n..max_n qubits."""
-
-    def decorate(check):
-        if st is not None:
-            labels = st.integers(min_n, max_n).flatmap(
-                lambda n: st.builds(
-                    label_of, st.just(n), st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)
-                )
-            )
-            run = settings(max_examples=examples, derandomize=True, database=None, deadline=None)
-            return run(given(labels)(check))
-
-        def loop():
-            rng = Random(f"{check.__name__} {min_n} {max_n}")
-            for _ in range(examples):
-                n = rng.randint(min_n, max_n)
-                check(label_of(n, rng.getrandbits(n), rng.getrandbits(n)))
-
-        loop.__name__ = check.__name__
-        return loop
-
-    return decorate
 
 
 def check_views(label: str) -> None:
@@ -148,12 +117,6 @@ def test_parsed_wide_hamiltonian_retains_under_half_a_mebibyte():
         factors = " ".join(f"{rng.choice('XYZ')}{q}" for q in qubits)
         terms.append(f"{rng.uniform(-1, 1)!r}*{factors}")
     text = " + ".join(terms)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        h = parse_hamiltonian(text, 1000)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    h, _, retained = traced(parse_hamiltonian, text, 1000)
     assert len(h.terms) == 250
     assert retained < 2**19, f"{retained} bytes retained"

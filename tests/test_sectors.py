@@ -6,11 +6,9 @@ A Hamiltonian case has 0-6 terms on 1-8 qubits, whose X masks come from a
 pool of two per case, so that terms share a flip and their sum can cancel,
 or link only some of its states. A matrix case is a random Hermitian matrix
 of 1-8 qubits with a random pattern of zero entries. With hypothesis
-installed the cases come from it; without it, from a seeded random loop. A
-few fixed cases run either way.
+installed the cases come from it; without it, from a seeded random loop
+(see ``helpers.property_test``). A few fixed cases run either way.
 """
-
-from random import Random
 
 import numpy as np
 
@@ -23,17 +21,12 @@ from pauliexp import (
     parse_hamiltonian,
 )
 from pauliexp.oracle import MAX_EXPM_QUBITS, _diagonals, _sectors
-from helpers import label_of, reference_sectors
-
-try:
-    from hypothesis import example, given, settings
-    from hypothesis import strategies as st
-except ImportError:  # pragma: no cover - depends on the environment
-    st = None
+from helpers import label_of, property_test, reference_sectors
 
 N = MAX_EXPM_QUBITS
 # equal and opposite weights make sums that cancel on some states or all
 COEFFICIENTS = (0.5, -0.5, 0.25, -1.5, 2.0)
+DENSITIES = (0.0, 0.02, 0.1, 0.5, 1.0)
 
 
 def case_of(n: int, flips: tuple[int, int], terms, t: float):
@@ -82,38 +75,24 @@ def for_cases(examples: int, fixed=()):
     """Run the decorated check on the ``fixed`` cases and ``examples`` drawn
     Hamiltonian cases."""
 
-    def decorate(check):
-        if st is not None:
-            masks = st.integers(0, 2**N - 1)
-            terms = st.lists(
-                st.tuples(st.integers(0, 1), masks, st.sampled_from(COEFFICIENTS)), max_size=6
-            )
-            cases = st.builds(
-                case_of, st.integers(1, N), st.tuples(masks, masks), terms, st.floats(-2, 2)
-            )
-            run = settings(max_examples=examples, derandomize=True, database=None, deadline=None)
-            test = given(cases)(check)
-            for case in fixed:
-                test = example(case)(test)
-            return run(test)
+    def strategy(st):
+        masks = st.integers(0, 2**N - 1)
+        terms = st.lists(
+            st.tuples(st.integers(0, 1), masks, st.sampled_from(COEFFICIENTS)), max_size=6
+        )
+        return st.builds(
+            case_of, st.integers(1, N), st.tuples(masks, masks), terms, st.floats(-2, 2)
+        )
 
-        def loop():
-            rng = Random(check.__name__)
-            drawn = []
-            for _ in range(examples):
-                terms = [
-                    (rng.randrange(2), rng.getrandbits(N), rng.choice(COEFFICIENTS))
-                    for _ in range(rng.randint(0, 6))
-                ]
-                flips = (rng.getrandbits(N), rng.getrandbits(N))
-                drawn.append(case_of(rng.randint(1, N), flips, terms, rng.uniform(-2, 2)))
-            for case in list(fixed) + drawn:
-                check(case)
+    def draw(rng):
+        terms = [
+            (rng.randrange(2), rng.getrandbits(N), rng.choice(COEFFICIENTS))
+            for _ in range(rng.randint(0, 6))
+        ]
+        flips = (rng.getrandbits(N), rng.getrandbits(N))
+        return case_of(rng.randint(1, N), flips, terms, rng.uniform(-2, 2))
 
-        loop.__name__ = check.__name__
-        return loop
-
-    return decorate
+    return property_test(examples, strategy, draw, fixed)
 
 
 def one_triangle(entry: tuple[int, int]) -> np.ndarray:
@@ -132,33 +111,20 @@ def for_matrices(examples: int, fixed=FIXED_MATRICES):
     """Run the decorated check on the ``fixed`` (matrix, t) cases and
     ``examples`` drawn ones."""
 
-    def decorate(check):
-        if st is not None:
-            cases = st.builds(
-                lambda n, density, seed, t: (random_hermitian(n, density, seed), t),
-                st.integers(1, N),
-                st.sampled_from((0.0, 0.02, 0.1, 0.5, 1.0)),
-                st.integers(0, 2**32 - 1),
-                st.floats(-2, 2),
-            )
-            run = settings(max_examples=examples, derandomize=True, database=None, deadline=None)
-            test = given(cases)(check)
-            for case in fixed:
-                test = example(case)(test)
-            return run(test)
+    def strategy(st):
+        return st.builds(
+            lambda n, density, seed, t: (random_hermitian(n, density, seed), t),
+            st.integers(1, N),
+            st.sampled_from(DENSITIES),
+            st.integers(0, 2**32 - 1),
+            st.floats(-2, 2),
+        )
 
-        def loop():
-            rng = Random(check.__name__)
-            for case in fixed:
-                check(case)
-            for _ in range(examples):
-                n, density = rng.randint(1, N), rng.choice((0.0, 0.02, 0.1, 0.5, 1.0))
-                check((random_hermitian(n, density, rng.getrandbits(32)), rng.uniform(-2, 2)))
+    def draw(rng):
+        n, density = rng.randint(1, N), rng.choice(DENSITIES)
+        return random_hermitian(n, density, rng.getrandbits(32)), rng.uniform(-2, 2)
 
-        loop.__name__ = check.__name__
-        return loop
-
-    return decorate
+    return property_test(examples, strategy, draw, fixed)
 
 
 def assert_same_sectors(got, expected) -> None:

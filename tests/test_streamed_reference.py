@@ -8,13 +8,12 @@ blocked phase-invariant distance against a whole-array evaluation.
 A case is a Hamiltonian of 1-5 terms on 1-10 qubits (1-8 for --exact),
 commuting (Z and I factors only, so a diagonal matrix) or not, with Id
 terms mixed in, plus a synthesis variant and an angle. With hypothesis
-installed the cases come from it; without it, from a seeded random loop. A
-few fixed cases run either way.
+installed the cases come from it; without it, from a seeded random loop
+(see ``helpers.property_test``). A few fixed cases run either way.
 """
 
 import io
 from contextlib import redirect_stdout
-from random import Random
 
 import numpy as np
 import pytest
@@ -38,13 +37,7 @@ from pauliexp import (
 from pauliexp.circuit import CX, RZ, SDG, S
 from pauliexp.cli import VERIFY_THRESHOLD, run_cli
 from pauliexp.oracle import MAX_EXPM_QUBITS, _exact_distance, _per_term_distance
-from helpers import label_of, whole_product_distance
-
-try:
-    from hypothesis import example, given, settings
-    from hypothesis import strategies as st
-except ImportError:  # pragma: no cover - depends on the environment
-    st = None
+from helpers import label_of, property_test, whole_product_distance
 
 MAX_N = 10
 
@@ -77,46 +70,32 @@ def for_cases(examples: int, max_n: int = MAX_N, fixed=FIXED_CASES):
     """Run the decorated check on the ``fixed`` cases and ``examples`` drawn
     ones of at most ``max_n`` qubits."""
 
-    def decorate(check):
-        if st is not None:
-            masks = st.integers(0, 2**max_n - 1)
-            terms = st.lists(
-                st.tuples(masks, masks, st.floats(-2, 2), st.integers(0, 3).map(lambda k: k == 0)),
-                min_size=1,
-                max_size=5,
-            )
-            cases = st.builds(
-                case_of,
-                st.integers(1, max_n),
-                st.sampled_from(list(SynthVariant)),
-                st.booleans(),
-                terms,
-                st.floats(0.1, 1.5),
-            )
-            run = settings(max_examples=examples, derandomize=True, database=None, deadline=None)
-            test = given(cases)(check)
-            for case in fixed:
-                test = example(case)(test)
-            return run(test)
+    def strategy(st):
+        masks = st.integers(0, 2**max_n - 1)
+        terms = st.lists(
+            st.tuples(masks, masks, st.floats(-2, 2), st.integers(0, 3).map(lambda k: k == 0)),
+            min_size=1,
+            max_size=5,
+        )
+        return st.builds(
+            case_of,
+            st.integers(1, max_n),
+            st.sampled_from(list(SynthVariant)),
+            st.booleans(),
+            terms,
+            st.floats(0.1, 1.5),
+        )
 
-        def loop():
-            rng = Random(check.__name__)
-            drawn = []
-            for _ in range(examples):
-                n = rng.randint(1, max_n)
-                terms = [
-                    (rng.getrandbits(n), rng.getrandbits(n), rng.uniform(-2, 2), rng.random() < 0.25)
-                    for _ in range(rng.randint(1, 5))
-                ]
-                variant = rng.choice(list(SynthVariant))
-                drawn.append(case_of(n, variant, rng.random() < 0.5, terms, rng.uniform(0.1, 1.5)))
-            for case in fixed + drawn:
-                check(case)
+    def draw(rng):
+        n = rng.randint(1, max_n)
+        terms = [
+            (rng.getrandbits(n), rng.getrandbits(n), rng.uniform(-2, 2), rng.random() < 0.25)
+            for _ in range(rng.randint(1, 5))
+        ]
+        variant = rng.choice(list(SynthVariant))
+        return case_of(n, variant, rng.random() < 0.5, terms, rng.uniform(0.1, 1.5))
 
-        loop.__name__ = check.__name__
-        return loop
-
-    return decorate
+    return property_test(examples, strategy, draw, fixed)
 
 
 def _verdict(distance: float) -> str:

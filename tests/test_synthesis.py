@@ -35,8 +35,7 @@ from pauliexp import (
     trotter_circuit,
     validate_qasm,
 )
-from helpers import random_pauli_string, reference_exp_pauli_term
-from test_pauli_masks import for_labels
+from helpers import for_labels, random_pauli_string, reference_exp_pauli_term
 
 T_SAMPLES = (0.1, 0.7, math.pi / 3, -1.2)
 Z_STRING = PauliString.from_label("Z")
