@@ -56,6 +56,12 @@ def _shown(value: object) -> str:
         return f"<{type(value).__name__} that repr() rejects>"
 
 
+def _expect(value: object, kind: type, what: str) -> None:
+    """TypeError ``what, got value`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what}, got {_shown(value)}")
+
+
 def _as_int(value: object, what: str) -> int:
     """``value`` as a plain int; numpy integers pass, bools and floats do not."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
@@ -244,8 +250,7 @@ class QuantumCircuit(_Value):
         n_qubits = _positive(n_qubits, "n_qubits", MAX_QUBITS)
         gates = tuple(gates)
         for gate in gates:
-            if not isinstance(gate, Gate):
-                raise TypeError(f"gates must be Gate values, got {_shown(gate)}")
+            _expect(gate, Gate, "gates must be Gate values")
             for q in gate.qubits:
                 if q >= n_qubits:
                     raise ValueError(f"gate {gate!r} touches qubit {q}, circuit has {n_qubits}")
@@ -270,8 +275,7 @@ class QuantumCircuit(_Value):
 
 def cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
     """The circuit after peephole compaction (:func:`_cancel`), phase kept."""
-    if not isinstance(circuit, QuantumCircuit):
-        raise TypeError(f"circuit must be a QuantumCircuit, got {_shown(circuit)}")
+    _expect(circuit, QuantumCircuit, "circuit must be a QuantumCircuit")
     return QuantumCircuit._trusted(circuit.n_qubits, _cancel(circuit.gates), circuit.global_phase)
 
 

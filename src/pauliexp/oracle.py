@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .circuit import CX, CZ, H, RZ, S, SDG, Gate, QuantumCircuit, _finite, _shown
+from .circuit import CX, CZ, H, RZ, S, SDG, Gate, QuantumCircuit, _expect, _finite
 from .paulis import Hamiltonian, PauliString, _bits
 
 MAX_DENSE_QUBITS = 12
@@ -89,8 +89,7 @@ def _signed_permutation(p: PauliString) -> tuple[int, np.ndarray]:
 def pauli_matrix(p: PauliString) -> np.ndarray:
     """The matrix of P, qubit 0 leftmost: one nonzero entry per column,
     ``m[src ^ flip, src] = phase[src]`` (see :func:`_signed_permutation`)."""
-    if not isinstance(p, PauliString):
-        raise TypeError(f"p must be a PauliString, got {_shown(p)}")
+    _expect(p, PauliString, "p must be a PauliString")
     _check_qubit_cap(p.n_qubits)
     flip, phase = _signed_permutation(p)
     cols = np.arange(len(phase))
@@ -116,20 +115,21 @@ def _rotation(p: PauliString, t: float) -> Callable[[np.ndarray, np.ndarray], No
     shape, is its scratch, so no call allocates.
 
     P sends basis state src to src ^ flip with factor phase[src]
-    (:func:`_signed_permutation`). Each element gets the operations, in the
-    operand order, of ``cos(t)*u - (1j*sin(t))*(phase[src][:, None]*u[src])``,
-    src = rows ^ flip, the value of ``exp_pauli_closed_form(p, t) @ u``.
+    (:func:`_signed_permutation`). Each element is
+    ``cos(t)*u - ((1j*sin(t))*phase[src][:, None])*u[src]``, src = rows ^
+    flip, the value of ``exp_pauli_closed_form(p, t) @ u``: phase is +-1 or
+    +-1j, so ``1j*sin(t)*phase`` is exact and each element is rounded once,
+    by sin(t), as in the order ``1j*sin(t)*(phase*u[src])``.
     """
     flip, phase = _signed_permutation(p)
     src = np.arange(len(phase)) ^ flip
-    src_phase = phase[src, None]
     cos, isin = math.cos(t), 1j * math.sin(t)
+    src_phase = isin * phase[src, None]
 
     def rotate(u: np.ndarray, gathered: np.ndarray) -> None:
         # "clip" never fires on these indices; unlike "raise" it writes out unbuffered
         np.take(u, src, axis=0, out=gathered, mode="clip")
         np.multiply(src_phase, gathered, out=gathered)
-        np.multiply(isin, gathered, out=gathered)
         np.multiply(cos, u, out=u)
         np.subtract(u, gathered, out=u)
 
@@ -220,8 +220,7 @@ def _unitary_blocks(
 def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
     """Multiply out the circuit's gates in application order, phase included.
     Besides the result only block-sized arrays are live."""
-    if not isinstance(c, QuantumCircuit):
-        raise TypeError(f"c must be a QuantumCircuit, got {_shown(c)}")
+    _expect(c, QuantumCircuit, "c must be a QuantumCircuit")
     _check_qubit_cap(c.n_qubits)
     dim = 2**c.n_qubits
     u = np.empty((dim, dim), dtype=complex)
@@ -260,8 +259,7 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     The :func:`_diagonals` vectors, each scattered to its XOR-diagonal. A
     matrix past the float range raises ValueError, whatever the order of the
     terms that sum to it."""
-    if not isinstance(h, Hamiltonian):
-        raise TypeError(f"h must be a Hamiltonian, got {_shown(h)}")
+    _expect(h, Hamiltonian, "h must be a Hamiltonian")
     _check_qubit_cap(h.n_qubits)
     diagonals = _diagonals(h)
     cols = np.arange(2**h.n_qubits)
@@ -443,8 +441,7 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     other temporary is made.
     """
     for name, m in (("a", a), ("b", b)):
-        if not isinstance(m, np.ndarray):
-            raise TypeError(f"{name} must be a numpy array, got {_shown(m)}")
+        _expect(m, np.ndarray, f"{name} must be a numpy array")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     rows, cols = (len(a), math.prod(a.shape[1:])) if a.ndim > 1 else (1, a.size)

@@ -17,7 +17,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
-from .circuit import MAX_QUBITS, _finite, _positive, _shown, _Value
+from .circuit import MAX_QUBITS, _expect, _finite, _positive, _shown, _Value
 
 
 class PauliOp(Enum):
@@ -141,8 +141,7 @@ class PauliTerm(_Value):
     __slots__ = __match_args__ = ("coefficient", "string")
 
     def __init__(self, coefficient: float, string: PauliString) -> None:
-        if not isinstance(string, PauliString):
-            raise TypeError(f"string must be a PauliString, got {_shown(string)}")
+        _expect(string, PauliString, "string must be a PauliString")
         self._init(_finite(coefficient, "coefficient"), string)
 
     @property
@@ -167,8 +166,7 @@ class Hamiltonian(_Value):
         n_qubits = _positive(n_qubits, "n_qubits", MAX_QUBITS)
         terms = tuple(terms)
         for term in terms:
-            if not isinstance(term, PauliTerm):
-                raise TypeError(f"terms must be PauliTerm values, got {_shown(term)}")
+            _expect(term, PauliTerm, "terms must be PauliTerm values")
             if term.n_qubits != n_qubits:
                 raise ValueError(
                     f"term {term.string.to_label()!r} acts on {term.n_qubits} "

@@ -13,7 +13,7 @@ import math
 import re
 from collections.abc import Iterable, Iterator
 
-from .circuit import Gate, QuantumCircuit, _shown
+from .circuit import Gate, QuantumCircuit, _expect
 
 _HEADER = ('OPENQASM 2.0;', 'include "qelib1.inc";')
 
@@ -63,8 +63,7 @@ def emit_qasm(circuit: QuantumCircuit) -> str:
     Emission is deterministic: identical circuits produce byte-identical
     text.
     """
-    if not isinstance(circuit, QuantumCircuit):
-        raise TypeError(f"circuit must be a QuantumCircuit, got {_shown(circuit)}")
+    _expect(circuit, QuantumCircuit, "circuit must be a QuantumCircuit")
     statements = map(_gate_line, circuit.gates)
     return "".join(_qasm_lines(circuit.n_qubits, statements, circuit.global_phase))
 

@@ -37,6 +37,7 @@ from .circuit import (
     QuantumCircuit,
     _as_int,
     _cancel_product,
+    _expect,
     _finite,
     _positive,
     _shown,
@@ -125,8 +126,7 @@ def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumC
     :func:`trotter_circuit`'s checks. The identity string has no gates; its
     exponential is the pure phase exp(-i*t*w), kept in global_phase.
     """
-    if not isinstance(term, PauliTerm):
-        raise TypeError(f"term must be a PauliTerm, got {_shown(term)}")
+    _expect(term, PauliTerm, "term must be a PauliTerm")
     h = Hamiltonian._trusted(term.n_qubits, (term,))
     return trotter_circuit(h, EvolutionParams(t), variant)
 
@@ -152,10 +152,8 @@ def _product(
     the full peephole pass when the check fails. Either way the peephole
     runs here, so a merged angle that overflows raises before the first gate.
     """
-    if not isinstance(h, Hamiltonian):
-        raise TypeError(f"h must be a Hamiltonian, got {_shown(h)}")
-    if not isinstance(params, EvolutionParams):
-        raise TypeError(f"params must be EvolutionParams, got {_shown(params)}")
+    _expect(h, Hamiltonian, "h must be a Hamiltonian")
+    _expect(params, EvolutionParams, "params must be EvolutionParams")
     if not isinstance(variant, SynthVariant):
         raise ValueError(f"unknown synthesis variant {_shown(variant)}")
     t = params.t / params.reps

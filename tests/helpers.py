@@ -280,7 +280,10 @@ def reference_apply_exp_pauli(p: PauliString, t: float, u: np.ndarray) -> np.nda
     """u <- exp(-i*t*P) @ u in place, the oracle's per-term rotation written
     over dense ops and kept as its reference: the flip mask and the Z/Y
     signs are built one PauliOp at a time, the signs by a Kronecker chain,
-    and all row pairs are updated at once."""
+    and all row pairs are updated at once. It keeps the order
+    ``1j*sin(t)*(phase*b)``, where the oracle takes ``(1j*sin(t)*phase)*b``:
+    phase is +-1 or +-1j, so either inner product is exact, and each element
+    is rounded once, by sin(t), to the same value."""
     dim = 2**p.n_qubits
     flip = 0
     signs = np.ones(1)

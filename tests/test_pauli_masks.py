@@ -6,6 +6,7 @@ library's own mask code. With hypothesis installed the masks come from it;
 without it, from a seeded random loop (see ``helpers.property_test``).
 """
 
+import math
 from random import Random
 
 import numpy as np
@@ -102,7 +103,9 @@ def test_rotation_equals_the_dense_ops_build(label):
     rng = np.random.default_rng(len(label))
     dim = 2 ** len(label)
     u = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
-    for t in (0.37, -2.1):
+    # the last four put 1j*sin(t)*phase at its edges: a zero, a subnormal,
+    # pi's rounding error as sin(pi), and the sine of a large argument
+    for t in (0.37, -2.1, 0.0, 5e-324, math.pi, 1e8):
         got = u.copy()
         _rotation(p, t)(got, np.empty_like(got))
         assert np.array_equal(got, reference_apply_exp_pauli(p, t, u.copy()))

@@ -443,6 +443,11 @@ def test_rejected_values_are_named_first(build, fragment):
             TypeError,
             "h must be a Hamiltonian, got 'Z0'",
         ),
+        (
+            lambda: trotter_circuit(-(10**5000), EvolutionParams(1.0)),
+            TypeError,
+            f"^h must be a Hamiltonian, got {re.escape(LONG)}$",
+        ),
         (lambda: parse_hamiltonian("Z0", "3"), ValueError, "n_qubits must be an int, got '3'"),
         (lambda: parse_hamiltonian("Z0", 2.0), ValueError, "n_qubits must be an int, got 2.0"),
         (lambda: parse_hamiltonian(123, 2), TypeError, "text must be a str, got int"),
@@ -523,6 +528,7 @@ def test_rejected_values_are_named_first(build, fragment):
         "term-text-string",
         "exp-pauli-term-text-term",
         "trotter-text-hamiltonian",
+        "trotter-int-past-repr-limit-hamiltonian",
         "parse-text-n-qubits",
         "parse-float-n-qubits",
         "parse-int-text",
