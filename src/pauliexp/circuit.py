@@ -293,7 +293,7 @@ def _cancel(gates: Iterable[Gate]) -> tuple[Gate, ...]:
     later gate on its exact qubit tuple, which would first meet any kept gate
     after it on those qubits. So a gate between two survivors stays, and they
     never become adjacent. A Trotter product need not run the pass on every
-    copy of its slice: :func:`_cancel_product` runs it on two.
+    copy of its slice: :func:`_cancel_product` runs it on three.
     """
     kept: list[Gate | None] = []
     _peephole(gates, kept, _stacks())
@@ -351,9 +351,9 @@ def _peephole(
 def _cancel_product(gates: list[Gate], reps: int) -> list[tuple[Iterable[Sequence[Gate]], int]]:
     """:func:`_cancel` of ``gates`` repeated ``reps`` times, as runs of chunks,
     read once, each run with the number of times it repeats. When the
-    peephole on two copies shows the product periodic (:func:`_splice`), the
-    runs are copy 1's survivors, the middle ``reps - 2`` times and copy 2's
-    survivors; otherwise the full pass's survivors are one run, cut to the
+    peephole on three copies shows the product periodic (:func:`_splice`),
+    the runs are copy 1's survivors, copy 2's ``reps - 2`` times and copy
+    3's; otherwise the full pass's survivors are one run, cut to the
     slice's length. Either way the pass runs here, so what it raises it
     raises before the caller reads a gate."""
     if reps > 2 and (spliced := _splice(gates)) is not None:
@@ -365,59 +365,38 @@ def _cancel_product(gates: list[Gate], reps: int) -> list[tuple[Iterable[Sequenc
 
 
 def _splice(gates: list[Gate]) -> tuple[list[Gate], list[Gate], list[Gate]] | None:
-    """Copy 1's survivors, the middle and copy 2's survivors of the peephole
-    on ``gates`` repeated, or None when two copies do not show it periodic.
+    """Copy 1's survivors, the middle and copy 3's survivors of the peephole
+    on ``gates`` repeated, or None when three copies do not show it periodic.
 
-    The peephole (:func:`_peephole`) runs on two copies. On each qubit, copy
-    2 reads down to its reach: the deepest of copy 1's entries that it reads,
-    where the empty stack counts one deeper than the last entry. The top
-    ``reach`` entries of the stack are its window. The window copy 2 leaves
-    must hold its own entries only and equal the window copy 1 left, as it
-    was before copy 2 merged into it: the same slice positions, so the same
-    kinds and qubits, and equal angles, so equal bits (a merge that sums to
-    zero cancels, so a zero angle is the slice's own at that position). It
-    must also reach the bottom of the stack exactly when copy 1's did. Then
-    copy 3 reads what copy 2 read and does what copy 2 did, and so does
-    every later copy. (Copy 2 pops only entries it read, so it also leaves
-    at least as many entries of its own as it popped.) The middle is a copy
-    as the next copy leaves it: copy 1's final entry at each window
-    position, copy 2's entry elsewhere. A rotation that keeps accumulating
-    across copies, as a lone ``Z0`` does, fails the check.
+    The peephole (:func:`_peephole`) runs on three copies. The product is
+    periodic when copy 3 leaves copy 1's entries as copy 2 left them and its
+    own entries as copy 2 left its own (:func:`_same`). A step reads only
+    live entries. At the start of copy 4 they are copy 3's, equal to what
+    copy 3 found of copy 2, on top of copy 1's, unchanged. Wherever copy 3
+    read past copy 2's entries on a qubit, it had cancelled all of them
+    there, so copy 4 finds none of copy 2's entries there either. So copy 4
+    repeats copy 3, and so does every later copy: the middle is copy 2 as
+    copy 3 leaves it. A rotation that keeps accumulating across copies, as
+    a lone ``Z0`` does, changes copy 1's entry and fails the check.
     """
     kept: list[Gate | None] = []
     live = _stacks()
-    where = _ints()  # the slice position of each entry of kept
-    reach: dict[int, int] = {}
-
-    def place(p: int, gate: Gate) -> None:
-        size = len(kept)
-        _peephole((gate,), kept, live)
-        if len(kept) > size:
-            where.append(p)
-
-    for p, gate in enumerate(gates):
-        place(p, gate)
-    start, before = len(kept), kept[:]
-    first = {q: stack[:] for q, stack in live.items()}
-    for p, gate in enumerate(gates):
-        for q in gate.qubits:
-            stack = live[q]
-            if not stack or stack[-1] < start:  # copy 2 reads below its own entries
-                reach[q] = max(reach.get(q, 0), len(first[q]) - len(stack) + 1)
-        place(p, gate)
-
-    moved: dict[int, int] = {}  # each entry in copy 2's window: the copy-1 entry it mirrors
-    for q, depth in reach.items():
-        old, new = first[q], live[q]
-        bottom = depth > len(old)
-        width = depth - bottom
-        if (len(new) != width) if bottom else (len(new) < width):
-            return None
-        for i, k in zip(old[len(old) - width :], new[len(new) - width :]):
-            if k < start or where[i] != where[k] or before[i].angle != kept[k].angle:
-                return None
-            moved[k] = i
+    _peephole(gates, kept, live)
+    start = len(kept)
+    _peephole(gates, kept, live)
+    end = len(kept)
+    first, second = kept[:start], kept[start:]
+    _peephole(gates, kept, live)
+    if not (_same(kept[:start], first) and _same(kept[end:], second)):
+        return None
     head = [g for g in kept[:start] if g is not None]
-    tail = [g for g in kept[start:] if g is not None]
-    middle = [kept[moved.get(k, k)] for k in range(start, len(kept))]
-    return head, [g for g in middle if g is not None], tail
+    middle = [g for g in kept[start:end] if g is not None]
+    tail = [g for g in kept[end:] if g is not None]
+    return head, middle, tail
+
+
+def _same(a: list[Gate | None], b: list[Gate | None]) -> bool:
+    """Whether ``a`` and ``b`` hold the same gates to the bit: equal, and
+    two distinct gates only where the angle is not zero, as a merged
+    rotation's is (equality takes -0.0 for 0.0, and a merge to 0.0 cancels)."""
+    return a == b and all(x.angle != 0.0 for x, y in zip(a, b) if x is not y)

@@ -21,7 +21,7 @@ from pauliexp import (
     trotter_circuit,
     validate_qasm,
 )
-from pauliexp.circuit import _cancel, _cancel_product, _trusted_gate
+from pauliexp.circuit import _cancel, _cancel_product, _same, _trusted_gate
 from pauliexp.parser import parse_hamiltonian
 from pauliexp.synth import _expand, _product, _term_gates
 from helpers import random_circuit, random_hamiltonian, reference_cancel_adjacent, traced
@@ -286,18 +286,17 @@ def _one_slice(text, n):
 @pytest.mark.parametrize(
     "slice_",
     [
-        _one_slice("1*Z0", 1),  # its RZ keeps accumulating across copies
+        # copy 3 changes copy 1's entries: the RZ keeps accumulating
+        _one_slice("1*Z0", 1),
         _one_slice("1*Z0 Z1 + 1*Z0 Z1", 2),
-        # merges to exactly 0.0 across the copy boundary: copy 2 cancels all
-        # of copy 1, so copy 3 starts from an empty stack
+        # copy 3's own entries differ from copy 2's: copy 2 cancels all of
+        # copy 1, so copy 3 starts from empty stacks and keeps every gate
         [Gate.rz(0, 0.5), Gate.h(0), Gate.rz(0, -0.5)],
-        # copy 2 reads the empty stack of qubit 0, where copy 3 would find
-        # copy 2's first S
+        # copy 3 leaves an S on qubit 0 where copy 2 left none
         [Gate.sdg(1), Gate.sdg(0), Gate.h(1), Gate.sdg(0), Gate.s(0), Gate.s(0)]
         + [Gate.rz(1, -0.5), Gate.s(0)],
-        # copy 2's window holds an S from slice position 2 where copy 1's
-        # held the H from position 0
-        [Gate.h(0), Gate.sdg(0), Gate.s(0), Gate.s(0), Gate.h(0)],
+        # copy 2 cancels all of copy 1 here too: the product alternates with period 2
+        [Gate.cx(0, 1), Gate.h(0), Gate.cx(0, 1)],
     ],
 )
 def test_products_that_are_not_periodic_take_the_full_pass(slice_):
@@ -305,6 +304,33 @@ def test_products_that_are_not_periodic_take_the_full_pass(slice_):
         runs = _cancel_product(slice_, reps)
         assert len(runs) == 1
         assert _bits(chain.from_iterable(_expand(runs))) == _bits(_cancel(slice_ * reps))
+
+
+@pytest.mark.parametrize(
+    "slice_",
+    [
+        # copy 2 cancels into copy 1's entries, but not as copy 3 cancels into copy 2's
+        [Gate.h(0), Gate.sdg(0), Gate.s(0), Gate.s(0), Gate.h(0)],
+        _one_slice("1*Z0 + 1*Y0 Z1 Z2", 3),
+    ],
+)
+def test_products_periodic_from_copy_two_are_spliced(slice_):
+    for reps in range(3, 13):
+        runs = _cancel_product(slice_, reps)
+        assert len(runs) == 3
+        assert _bits(chain.from_iterable(_expand(runs))) == _bits(_cancel(slice_ * reps))
+
+
+def test_same_tells_signed_zero_angles_apart():
+    rz = Gate.rz(0, 0.5)
+    assert _same([rz, None], [rz, None])  # the identical gate objects
+    merged, again = _cancel([rz, rz]), _cancel([rz, rz])
+    assert merged[0] is not again[0] and _same(list(merged), list(again))  # both at 1.0
+    # equality takes -0.0 for 0.0; two distinct gates at a zero angle are never the same
+    zero, minus_zero = Gate.rz(0, 0.0), Gate.rz(0, -0.0)
+    assert zero == minus_zero and not _same([zero], [minus_zero])
+    assert not _same([zero], [Gate.rz(0, 0.0)])
+    assert not _same([rz, None], [rz, rz]) and not _same([None, rz], [rz, rz])
 
 
 def test_a_product_that_takes_the_full_pass_is_formatted_a_slice_at_a_time():
