@@ -412,10 +412,10 @@ def _distance(
     parts: Callable[[], Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]],
 ) -> float:
     """min over phi of ||a - exp(i*phi)*b||, for a and b cut into the
-    matching contiguous 2-D parts that ``parts()`` yields afresh for each
-    pass, each with a free array of their shape: the overlap vdot(b, a),
-    which fixes phi, then the squared norm of the difference, made in the
-    free array, each summed part by part. No part outlives its pass. Each
+    matching 2-D parts that ``parts()`` yields afresh for each pass, each
+    with a free array of their shape: the overlap vdot(b, a), which fixes
+    phi, then the squared norm of the difference, made in the free array,
+    each summed part by part. No part outlives its pass. Each
     caller cuts parts of ``_BLOCK_ELEMENTS`` elements for the row count, so
     their bits agree."""
     overlap = sum((np.vdot(b, a) for a, b, _ in parts()), 0j)
@@ -436,9 +436,10 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     at phi = arg(trace(b^dag a)) = arg(vdot(b, a)); evaluating the difference
     there instead of expanding ||a||^2 + ||b||^2 - 2|trace| keeps full
     precision near zero, where the expanded form cancels catastrophically.
-    The sums run over parts of the columns that it cuts here (a 1-D input
-    is one row), each copied into one of three part-sized buffers, so no
-    other temporary is made.
+    The sums run over parts of the columns that it cuts here as views of a
+    and b (a 1-D input is one row), with one part-sized buffer for their
+    difference; vdot copies the two parts of the overlap where they are
+    not contiguous.
     """
     for name, m in (("a", a), ("b", b)):
         _expect(m, np.ndarray, f"{name} must be a numpy array")
@@ -448,15 +449,11 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     a, b = a.reshape(rows, cols), b.reshape(rows, cols)
     width = max(1, min(cols, _BLOCK_ELEMENTS // max(1, rows)))
     # the difference takes the dtype of a - w * b, w a complex scalar
-    dtypes = (a.dtype, b.dtype, np.result_type(a, b, 1j))
-    buffers = [np.empty(rows * width, dtype) for dtype in dtypes]
+    free = np.empty(rows * width, np.result_type(a, b, 1j))
 
     def parts() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         for start in range(0, cols, width):
-            shape = (rows, min(width, cols - start))
-            part_a, part_b, free = (buffer[: math.prod(shape)].reshape(shape) for buffer in buffers)
-            part_a[...] = a[:, start : start + width]
-            part_b[...] = b[:, start : start + width]
-            yield part_a, part_b, free
+            part_a, part_b = a[:, start : start + width], b[:, start : start + width]
+            yield part_a, part_b, free[: part_a.size].reshape(part_a.shape)
 
     return _distance(parts)

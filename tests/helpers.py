@@ -1,12 +1,17 @@
 """Shared random generators, reference implementations and test machinery
-for the test suite: the property-test harness and the memory probe.
+for the test suite: the property-test harness, the memory probe and the
+fresh interpreter.
 
 All random generators take a seeded Random from the caller.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -71,6 +76,18 @@ def traced(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak - before, retained - before
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports pauliexp from
+    this checkout, in ``cwd``, with its stdout and stderr captured as text."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
+    )
 
 
 def random_pauli_label(rng: Random, n: int, min_weight: int = 0) -> str:

@@ -221,14 +221,15 @@ def test_trotter_repeats_slices(capsys):
 
 
 def test_verify_passes_on_six_qubit_yyx(capsys):
-    rc = run_cli(
-        ["verify", "--ham", "1*Y1 Y3 X5", "--n", "6", "--t", "0.7", "--variant", "z-ladder"]
-    )
-    captured = capsys.readouterr()
-    assert rc == 0
-    value, verdict = captured.out.split()
-    assert verdict == "PASS"
-    assert float(value) <= 1e-10
+    for variant in ("z-ladder", "x-ladder", "mixed"):
+        rc = run_cli(
+            ["verify", "--ham", "1*Y1 Y3 X5", "--n", "6", "--t", "0.7", "--variant", variant]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0
+        value, verdict = captured.out.split()
+        assert verdict == "PASS"
+        assert float(value) <= 1e-10
 
 
 @pytest.mark.parametrize("variant", ["z-ladder", "x-ladder", "mixed"])
@@ -261,10 +262,39 @@ def test_verify_exact_passes_for_commuting_terms(capsys):
 
 
 def test_stats_prints_gate_census(capsys):
-    rc = run_cli(["stats", "--ham", "1*Y1 Y3 X5", "--n", "6", "--t", "0.7"])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert captured.out == "cx=4\nrz=1\nh=6\ns=2\nsdg=2\n"
+    argv = ["stats", "--ham", "1*Y1 Y3 X5", "--n", "6", "--t", "0.7"]
+    assert _run(argv, capsys) == (0, "cx=4\nrz=1\nh=6\ns=2\nsdg=2\n", "")
+    argv = ["stats", "--ham", "0.5*Z0 Z1 + 0.3*X0", "--n", "2", "--t", "1.0", "--compact"]
+    assert _run(argv, capsys) == (0, "cx=2\nrz=2\nh=2\n", "")
+
+
+YYX_ZX = ["--ham", "1*Y1 Y3 X5 + 0.5*Z0 X2", "--n", "6", "--t", "0.7"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trotter", "--ham", "0.5*Z0 Z1 + 0.3*X0", "--n", "2", "--t", "1.0", "--reps", "3"],
+        ["synth", "--ham", "-1*Z0", "--n", "1", "--t", "1"],
+        ["synth", *YYX_ZX, "--variant", "x-ladder"],
+        ["synth", *YYX_ZX, "--variant", "mixed"],
+    ],
+    ids=["trotter", "negative", "x-ladder", "mixed"],
+)
+def test_documents_validate(argv, capsys):
+    rc, out, err = _run(argv, capsys)
+    assert (rc, err) == (0, "")
+    validate_qasm(out)
+
+
+def test_product_periodic_from_copy_two_prints_the_full_pass(capsys):
+    # its third copy first repeats the second, so it is spliced, and the
+    # document must be the full peephole pass's byte for byte
+    ham = "1*Z0 + 1*Y0 Z1 Z2"
+    h = parse_hamiltonian(ham, 3)
+    full_pass = cancel_adjacent(trotter_circuit(h, EvolutionParams(0.7, 50)))
+    argv = ["trotter", "--ham", ham, "--n", "3", "--t", "0.7", "--reps", "50", "--compact"]
+    assert _run(argv, capsys) == (0, emit_qasm(full_pass), "")
 
 
 def test_parse_error_exits_1_with_position_on_stderr(capsys):
@@ -329,6 +359,10 @@ def test_qubit_count_past_the_cap_exits_1(ham, n, capsys):
         (["verify", "--ham", "Z0", "--n", "13", "--t", "inf"], "t must be finite, got inf"),
         # text that is not a number, named by the type it should be
         (["synth", "--ham", "Z0", "--n", "x", "--t", "1"], "argument --n: invalid int value: 'x'"),
+        (
+            ["synth", "--ham", "Z0", "--n", "1", "--t", "1", "--variant", "bogus"],
+            f"argument --variant: invalid choice: 'bogus' ({VARIANT_CHOICES})",
+        ),
         (
             ["synth", "--ham", "Z0", "--n", "1", "--t", "y"],
             "argument --t: invalid float value: 'y'",
@@ -425,7 +459,7 @@ def test_missing_ham_file_exits_1(source, tmp_path, capsys):
     rc = run_cli(["synth", "--ham-file", str(path), "--n", "2", "--t", "0.5"])
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
-    assert "cannot read" in captured.err
+    assert captured.err.startswith("cannot read Hamiltonian file: ")
 
 
 def test_file_errors_name_the_file(tmp_path, monkeypatch, capsys):
@@ -460,15 +494,46 @@ def test_ham_file_with_comments(tmp_path, capsys):
 
 
 def test_oracle_cap_exits_3(capsys):
-    rc = run_cli(["verify", "--ham", "Z0", "--n", "13", "--t", "0.5"])
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert "cap" in captured.err
+    argv = ["verify", "--ham", "Z0", "--n", "13", "--t", "0.5"]
+    message = "cannot verify: 13 qubits exceeds the dense-matrix cap of 12\n"
+    assert _run(argv, capsys) == (3, "", message)
+    argv = ["verify", "--ham", "Z0", "--n", "9", "--t", "0.5", "--exact"]
+    message = "cannot verify --exact: 9 qubits exceeds the matrix exponential cap of 8\n"
+    assert _run(argv, capsys) == (3, "", message)
 
-    rc = run_cli(["verify", "--ham", "Z0", "--n", "9", "--t", "0.5", "--exact"])
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert "exact" in captured.err
+
+@pytest.mark.parametrize(
+    "ham, sectors, code, verdict",
+    [
+        # commuting terms in two-state sectors
+        ("0.5*Z0 Z1 X2 + 0.3*X2 Z5 + 0.2*Z7", (128, 2), 0, " PASS"),
+        # Z factors only: commuting terms in one-state sectors
+        ("0.5*Z0 Z1 Z2 Z3 Z4 Z5 Z6 Z7 + 0.3*Z2 Z5 + 0.2*Z7", (256, 1), 0, " PASS"),
+        # terms that do not commute, in eight-state sectors
+        (
+            "0.5*X0 X1 X2 X3 X4 X5 X6 X7 + 0.3*Z0 Z1 + 0.2*X0 Z7 + 0.1*Y3 Y4",
+            (32, 8),
+            2,
+            "1.425986e+00 FAIL",
+        ),
+        # a field on every qubit: commuting terms in one sector of all states
+        (
+            "0.1*X0 + 0.2*X1 + 0.3*X2 + 0.4*X3 + 0.5*X4 + 0.6*X5 + 0.7*X6 + 0.8*X7",
+            (1, 256),
+            0,
+            " PASS",
+        ),
+    ],
+    ids=["commuting", "z-only", "non-commuting", "field"],
+)
+def test_verify_exact_at_the_exponential_cap(ham, sectors, code, verdict, capsys):
+    """Eight qubits, the cap of --exact, in sectors of every size from one
+    state to all 256: (count, states) of them."""
+    found = oracle._sectors(oracle._diagonals(parse_hamiltonian(ham, 8)), 256, 0.9)
+    assert [indices.shape for indices, _ in found] == [sectors]
+    rc, out, err = _run(["verify", "--ham", ham, "--n", "8", "--t", "0.9", "--exact"], capsys)
+    assert (rc, err) == (code, "")
+    assert out.endswith(f"{verdict}\n") and out.count("\n") == 1
 
 
 def test_verify_distance_is_scientific_notation(capsys):
@@ -492,9 +557,12 @@ def test_non_finite_t_is_a_usage_error(capsys):
 
 
 def test_angle_overflow_exits_1(capsys):
-    rc = run_cli(["synth", "--ham", "1e300*Z0", "--n", "1", "--t", "1e300"])
-    assert rc == 1
-    assert capsys.readouterr().err != ""
+    for ham, t in (("1e300*Z0", "1e300"), ("1e308*X0", "1e308")):
+        assert _run(["synth", "--ham", ham, "--n", "1", "--t", t], capsys) == (
+            1,
+            "",
+            "error: rz angle must be finite, got inf\n",
+        )
 
 
 @pytest.mark.parametrize(

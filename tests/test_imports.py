@@ -7,12 +7,7 @@ Each check runs in a fresh interpreter, since this test session has long
 imported numpy.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from helpers import fresh_python
 
 SCRIPT = r"""
 import sys
@@ -69,10 +64,7 @@ print("ok", file=sys.stderr)
 
 
 def test_compile_path_leaves_numpy_unloaded():
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    result = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
-    )
+    result = fresh_python("-c", SCRIPT)
     assert result.returncode == 0, result.stderr
     assert result.stderr.endswith("ok\n")
     # two QASM documents, the stats census, then one PASS and one FAIL line
@@ -82,11 +74,7 @@ def test_compile_path_leaves_numpy_unloaded():
 
 
 def test_bare_interpreter_compiles_without_typing_dataclasses_or_inspect():
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", BARE_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    result = fresh_python("-S", "-c", BARE_SCRIPT)
     assert result.returncode == 0, result.stderr
     assert result.stderr == "ok\n"
     assert result.stdout.count("OPENQASM 2.0;") == 1

@@ -411,7 +411,8 @@ def test_dense_oracle_holds_only_its_result_at_n10():
     assert traced(circuit_unitary, c)[1] <= 1.25 * d * d * 16
     u = circuit_unitary(c)
     ref = np.eye(d, dtype=complex)
-    # three part-sized buffers of 256 KiB; 0.75 MiB measured
+    # one part-sized buffer of 256 KiB, and vdot's copies of the two parts
+    # it is given; 0.75 MiB measured
     assert traced(phase_invariant_distance, u, ref)[1] <= 2**20
 
 
