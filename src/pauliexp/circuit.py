@@ -286,8 +286,8 @@ def _cancel(gates: Iterable[Gate]) -> tuple[Gate, ...]:
     Two gates are adjacent when no gate between them touches any of their
     qubits. Inverse pairs (H,H), (S,Sdg), (Sdg,S), (CX,CX), (CZ,CZ) on the
     identical qubit tuple vanish; adjacent RZ/RX on the same qubit merge by
-    summing angles, disappearing only when the sum is exactly 0.0. The
-    represented unitary is unchanged.
+    summing angles. A rotation by exactly 0.0, of either sign, disappears,
+    whether given or merged. The represented unitary is unchanged.
 
     One pass reaches the fixed point: a kept gate can only be removed by a
     later gate on its exact qubit tuple, which would first meet any kept gate
@@ -321,8 +321,11 @@ def _peephole(
     """The step of :func:`_cancel`, gate by gate: each gate cancels or merges
     into the latest live gate on its qubits, or is appended to ``kept``.
     ``live`` maps each touched qubit to the indices into ``kept`` of its live
-    gates, latest on top; a cancelled entry of ``kept`` becomes None."""
+    gates, latest on top; a cancelled entry of ``kept`` becomes None. A
+    rotation by 0.0 is dropped on arrival, so no kept gate has a zero angle."""
     for gate in gates:
+        if gate.angle == 0.0:
+            continue
         j = -1  # the latest live gate on any of the gate's qubits
         for q in gate.qubits:
             stack = live[q]
@@ -370,8 +373,9 @@ def _splice(gates: list[Gate]) -> tuple[list[Gate], list[Gate], list[Gate]] | No
 
     The peephole (:func:`_peephole`) runs on three copies. The product is
     periodic when copy 3 leaves copy 1's entries as copy 2 left them and its
-    own entries as copy 2 left its own (:func:`_same`). A step reads only
-    live entries. At the start of copy 4 they are copy 3's, equal to what
+    own entries as copy 2 left its own. No kept angle is zero, so ``==``,
+    which takes -0.0 for 0.0, compares kept gates to the bit. A step reads
+    only live entries. At the start of copy 4 they are copy 3's, equal to what
     copy 3 found of copy 2, on top of copy 1's, unchanged. Wherever copy 3
     read past copy 2's entries on a qubit, it had cancelled all of them
     there, so copy 4 finds none of copy 2's entries there either. So copy 4
@@ -387,16 +391,10 @@ def _splice(gates: list[Gate]) -> tuple[list[Gate], list[Gate], list[Gate]] | No
     end = len(kept)
     first, second = kept[:start], kept[start:]
     _peephole(gates, kept, live)
-    if not (_same(kept[:start], first) and _same(kept[end:], second)):
+    if kept[:start] != first or kept[end:] != second:
         return None
     head = [g for g in kept[:start] if g is not None]
     middle = [g for g in kept[start:end] if g is not None]
     tail = [g for g in kept[end:] if g is not None]
     return head, middle, tail
 
-
-def _same(a: list[Gate | None], b: list[Gate | None]) -> bool:
-    """Whether ``a`` and ``b`` hold the same gates to the bit: equal, and
-    two distinct gates only where the angle is not zero, as a merged
-    rotation's is (equality takes -0.0 for 0.0, and a merge to 0.0 cancels)."""
-    return a == b and all(x.angle != 0.0 for x, y in zip(a, b) if x is not y)

@@ -102,9 +102,10 @@ def label_of(n: int, x: int, z: int) -> str:
     return "".join("IXZY"[(x >> k & 1) | (z >> k & 1) << 1] for k in range(n))
 
 
-def for_labels(min_n: int, max_n: int, examples: int = 100):
-    """Run the decorated check on ``examples`` labels of min_n..max_n qubits,
-    each drawn as two random masks and spelled out by :func:`label_of`."""
+def for_labels(min_n: int, max_n: int, examples: int = 100, fixed=()):
+    """Run the decorated check on the ``fixed`` labels and ``examples`` ones
+    of min_n..max_n qubits, each drawn as two random masks and spelled out
+    by :func:`label_of`."""
 
     def strategy(st):
         return st.integers(min_n, max_n).flatmap(
@@ -117,7 +118,7 @@ def for_labels(min_n: int, max_n: int, examples: int = 100):
         n = rng.randint(min_n, max_n)
         return label_of(n, rng.getrandbits(n), rng.getrandbits(n))
 
-    return property_test(examples, strategy, draw)
+    return property_test(examples, strategy, draw, fixed)
 
 
 def random_pauli_string(rng: Random, n: int, min_weight: int = 0) -> PauliString:
@@ -164,11 +165,14 @@ def reference_cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
 
     For each gate it scans back over the kept gates for the latest one that
     shares a qubit, and it repeats whole passes until one changes nothing.
+    A rotation by 0.0 is dropped where it stands, as a merge to 0.0 is.
     """
 
     def one_pass(gates):
         kept = []
         for gate in gates:
+            if gate.kind in ("rz", "rx") and gate.angle == 0.0:
+                continue
             j = len(kept) - 1
             while j >= 0 and not set(gate.qubits).intersection(kept[j].qubits):
                 j -= 1

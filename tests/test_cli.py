@@ -12,8 +12,10 @@ import pytest
 from pauliexp import (
     GATE_KINDS,
     EvolutionParams,
+    Gate,
     Hamiltonian,
     PauliTerm,
+    QuantumCircuit,
     SynthVariant,
     cancel_adjacent,
     circuit_unitary,
@@ -67,6 +69,17 @@ def test_synth_compact_collapses_repeated_terms(capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out == ZZ_QASM
+
+
+def test_compact_drops_rotations_by_zero(capsys):
+    # a rotation by 0.0 of either sign disappears, so the H pairs around it cancel
+    wrapped = QuantumCircuit(1, (Gate.h(0), Gate.rz(0, -0.0), Gate.h(0)))
+    assert cancel_adjacent(wrapped).gates == ()
+    header = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n'
+    argv = ["synth", "--ham", "1*Z0", "--n", "1", "--t", "0", "--compact"]
+    assert _run(argv, capsys) == (0, header, "")
+    argv = ["trotter", "--ham", "0*Z0 + 1*X0", "--n", "1", "--t", "1", "--reps", "4", "--compact"]
+    assert _run(argv, capsys) == (0, header + "h q[0];\nrz(2) q[0];\nh q[0];\n", "")
 
 
 STREAM_HAM = "0.5*Z0 Z1 Z2 + 0.3*X1 Y3 Z4 - 0.2*Id + 0.7*Y0 X2"

@@ -39,31 +39,33 @@ def cli_process(*argv: str, cwd: Path | None = None) -> tuple[int, str, str, flo
 
 
 @pytest.mark.parametrize(
-    "code, argv, first_error_line",
+    "code, argv, stderr",
     [
         (0, ["synth", "--ham", "1*Z0 Z1", "--n", "2", "--t", "0.5"], ""),
         (
             1,
             ["synth", "--ham", "1*Q0", "--n", "1", "--t", "1"],
-            "parse error at offset 2: unknown token 'Q'",
+            "parse error at offset 2: unknown token 'Q'\n",
         ),
         (2, ["verify", "--ham", "1*X0 + 1*Z0", "--n", "1", "--t", "0.7", "--exact"], ""),
         (
             3,
             ["verify", "--ham", "1*Z0", "--n", "13", "--t", "1"],
-            "cannot verify: 13 qubits exceeds the dense-matrix cap of 12",
+            "cannot verify: 13 qubits exceeds the dense-matrix cap of 12\n",
         ),
         (
             3,
             ["verify", "--ham", "1*Z0", "--n", "9", "--t", "1", "--exact"],
-            "cannot verify --exact: 9 qubits exceeds the matrix exponential cap of 8",
+            "cannot verify --exact: 9 qubits exceeds the matrix exponential cap of 8\n",
         ),
     ],
     ids=["synth", "parse-error", "verify-fail", "verify-cap", "verify-exact-cap"],
 )
-def test_exit_codes_come_back_through_main(code, argv, first_error_line, capsys):
+def test_exit_codes_come_back_through_main(code, argv, stderr, capsys):
     rc, out, err, _ = cli_process(*argv)
-    assert (rc, err.split("\n")[0]) == (code, first_error_line)
+    assert (rc, err) == (code, stderr)
+    if stderr:  # an error leaves stdout empty
+        assert out == ""
     # the process prints what run_cli prints in this one
     assert (run_cli(argv), *capsys.readouterr()) == (rc, out, err)
 

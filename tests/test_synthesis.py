@@ -584,11 +584,12 @@ def test_numpy_real_values_are_stored_as_floats(value):
     assert np.array_equal(closed_form, exp_pauli_closed_form(Z_STRING, 0.5))
 
 
-@for_labels(1, 8, examples=500)
+@for_labels(1, 8, examples=500, fixed=("ZZ",))
 def test_layouts_differ_by_h_pairs_on_z_factors(label):
     """For one term, cancel_adjacent turns x-ladder into mixed gate for gate,
-    z-ladder's gates are a permutation of mixed's, and x-ladder's are mixed's
-    plus two H pairs on each Z factor: one wrap rule, in three orders."""
+    z-ladder's gates are mixed's with the wraps on each side reordered, and
+    x-ladder's are mixed's plus two H pairs on each Z factor: one wrap rule,
+    in three orders."""
     rng = Random(label)
     weighted = term(label, rng.uniform(-3.0, 3.0))
     t = rng.uniform(-2.0, 2.0)
@@ -599,6 +600,8 @@ def test_layouts_differ_by_h_pairs_on_z_factors(label):
     assert cancel_adjacent(x_ladder).gates == mixed.gates
     assert len(x_ladder) - len(mixed) == 4 * label.count("Z")
     assert Counter(z_ladder.gates) == Counter(mixed.gates)
+    wraps = label.count("X") + 2 * label.count("Y")  # on each side of the ladder
+    assert z_ladder.gates[wraps : len(mixed) - wraps] == mixed.gates[wraps : len(mixed) - wraps]
     h_pairs = Counter({Gate.h(k): 4 for k, op in enumerate(label) if op == "Z"})
     assert Counter(x_ladder.gates) == Counter(mixed.gates) + h_pairs
 
