@@ -24,7 +24,6 @@ import math
 import operator
 from collections import defaultdict
 from collections.abc import Iterable, MutableSequence, Sequence
-from itertools import chain, repeat
 
 H = "h"
 S = "s"
@@ -292,8 +291,8 @@ def _cancel(gates: Iterable[Gate]) -> tuple[Gate, ...]:
     One pass reaches the fixed point: a kept gate can only be removed by a
     later gate on its exact qubit tuple, which would first meet any kept gate
     after it on those qubits. So a gate between two survivors stays, and they
-    never become adjacent. A Trotter product need not run the pass on every
-    copy of its slice: :func:`_cancel_product` runs it on three.
+    never become adjacent. :func:`_cancel_product` runs it on a Trotter
+    product.
     """
     kept: list[Gate | None] = []
     _peephole(gates, kept, _stacks())
@@ -353,48 +352,38 @@ def _peephole(
 
 def _cancel_product(gates: list[Gate], reps: int) -> list[tuple[Iterable[Sequence[Gate]], int]]:
     """:func:`_cancel` of ``gates`` repeated ``reps`` times, as runs of chunks,
-    read once, each run with the number of times it repeats. When the
-    peephole on three copies shows the product periodic (:func:`_splice`),
-    the runs are copy 1's survivors, copy 2's ``reps - 2`` times and copy
-    3's; otherwise the full pass's survivors are one run, cut to the
-    slice's length. Either way the pass runs here, so what it raises it
-    raises before the caller reads a gate."""
-    if reps > 2 and (spliced := _splice(gates)) is not None:
-        head, middle, tail = spliced
-        return [([head], 1), ([middle], reps - 2), ([tail], 1)]
-    kept = _cancel(chain.from_iterable(repeat(gates, reps)))
-    size = max(1, len(gates))  # an identity-only slice is empty, and so is what it leaves
-    return [((kept[start : start + size] for start in range(0, len(kept), size)), 1)]
+    read once, each run with the number of times it repeats. The peephole
+    (:func:`_peephole`) runs once per copy, on one state. When copy 3 shows
+    the product periodic, the runs are copy 1's survivors, copy 2's ``reps -
+    2`` times and copy 3's; otherwise every copy runs and the one run is each
+    copy's survivors in turn. Either way the pass runs here, so what it
+    raises it raises before the caller reads a gate.
 
-
-def _splice(gates: list[Gate]) -> tuple[list[Gate], list[Gate], list[Gate]] | None:
-    """Copy 1's survivors, the middle and copy 3's survivors of the peephole
-    on ``gates`` repeated, or None when three copies do not show it periodic.
-
-    The peephole (:func:`_peephole`) runs on three copies. The product is
-    periodic when copy 3 leaves copy 1's entries as copy 2 left them and its
-    own entries as copy 2 left its own. No kept angle is zero, so ``==``,
-    which takes -0.0 for 0.0, compares kept gates to the bit. A step reads
-    only live entries. At the start of copy 4 they are copy 3's, equal to what
-    copy 3 found of copy 2, on top of copy 1's, unchanged. Wherever copy 3
-    read past copy 2's entries on a qubit, it had cancelled all of them
-    there, so copy 4 finds none of copy 2's entries there either. So copy 4
-    repeats copy 3, and so does every later copy: the middle is copy 2 as
-    copy 3 leaves it. A rotation that keeps accumulating across copies, as
-    a lone ``Z0`` does, changes copy 1's entry and fails the check.
+    The product is periodic when copy 3 leaves copy 1's entries as copy 2
+    left them and its own entries as copy 2 left its own. No kept angle is
+    zero, so ``==``, which takes -0.0 for 0.0, compares kept gates to the
+    bit. A step reads only live entries. At the start of copy 4 they are copy
+    3's, equal to what copy 3 found of copy 2, on top of copy 1's, unchanged.
+    Wherever copy 3 read past copy 2's entries on a qubit, it had cancelled
+    all of them there, so copy 4 finds none of copy 2's entries there either.
+    So copy 4 repeats copy 3, and so does every later copy: the middle is
+    copy 2 as copy 3 leaves it. A rotation that keeps accumulating across
+    copies, as a lone ``Z0`` does, changes copy 1's entry and fails the check.
     """
     kept: list[Gate | None] = []
     live = _stacks()
-    _peephole(gates, kept, live)
-    start = len(kept)
-    _peephole(gates, kept, live)
-    end = len(kept)
-    first, second = kept[:start], kept[start:]
-    _peephole(gates, kept, live)
-    if kept[:start] != first or kept[end:] != second:
-        return None
-    head = [g for g in kept[:start] if g is not None]
-    middle = [g for g in kept[start:end] if g is not None]
-    tail = [g for g in kept[end:] if g is not None]
-    return head, middle, tail
-
+    starts = []  # the index in kept of each copy's first entry
+    for copy in range(1, reps + 1):
+        if copy == 3:
+            first, second = kept[: starts[1]], kept[starts[1] :]
+        starts.append(len(kept))
+        _peephole(gates, kept, live)
+        spliced = copy == 3 and kept[: starts[1]] == first and kept[starts[2] :] == second
+        if spliced:
+            break
+    ends = [*starts[1:], len(kept)]
+    chunks = ([g for g in kept[a:b] if g is not None] for a, b in zip(starts, ends))
+    if spliced:
+        head, middle, tail = chunks
+        return [([head], 1), ([middle], reps - 2), ([tail], 1)]
+    return [(chunks, 1)]

@@ -172,9 +172,8 @@ def _emit(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> in
     """Write the QASM document of the Trotter product to ``--out`` or stdout
     through the stream, one string per chunk of the product's runs, so the
     whole text never exists at once: one per term without ``--compact``; with
-    it copy 2's survivors are formatted once and written ``reps - 2`` times
-    between copy 1's and copy 3's, or the full pass's survivors go out a
-    slice's length at a time (:func:`_product`).
+    it one per chunk of :func:`_cancel_product`'s runs, and a run that
+    repeats is formatted once (:func:`_product`).
 
     No circuit is built either. Every term is checked, and the peephole run,
     before the target is opened, so an error leaves stdout empty and creates

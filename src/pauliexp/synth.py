@@ -147,10 +147,8 @@ def _product(
     Without ``compact`` the one run is the slice, each term's gates
     synthesized lazily, ``reps`` times. With ``compact`` the slice is
     synthesized as one list, and :func:`_cancel_product` compacts the
-    product from three copies of it: copy 1's survivors, copy 2's ``reps -
-    2`` times and copy 3's, when copy 3 repeats copy 2; it falls back to
-    the full peephole pass when it does not. Either way the peephole
-    runs here, so a merged angle that overflows raises before the first gate.
+    product. The peephole runs here, so a merged angle that overflows raises
+    before the first gate.
     """
     _expect(h, Hamiltonian, "h must be a Hamiltonian")
     _expect(params, EvolutionParams, "params must be EvolutionParams")

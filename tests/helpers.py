@@ -29,7 +29,7 @@ from pauliexp import (
 from pauliexp.synth import _term_gates
 
 try:
-    from hypothesis import example, given, settings
+    from hypothesis import example, given, seed, settings
     from hypothesis import strategies as st
 except ImportError:  # pragma: no cover - depends on the environment
     st = None
@@ -39,9 +39,10 @@ PAULI_CHARS = "IXYZ"
 
 def property_test(examples: int, strategy, draw, fixed=()):
     """Run the decorated check on the ``fixed`` cases and ``examples`` drawn
-    ones. With hypothesis installed they come from ``strategy(st)``,
-    derandomized; without it, from ``draw(rng)`` in a loop named after the
-    check, with ``rng = Random(check.__name__)``."""
+    ones. With hypothesis installed they come from ``strategy(st)``, seeded
+    from the check's name, so editing its body keeps its draws; without it,
+    from ``draw(rng)`` in a loop named after the check, with
+    ``rng = Random(check.__name__)``."""
 
     def decorate(check):
         if st is not None:
@@ -49,7 +50,7 @@ def property_test(examples: int, strategy, draw, fixed=()):
             for case in fixed:
                 test = example(case)(test)
             run = settings(max_examples=examples, derandomize=True, database=None, deadline=None)
-            return run(test)
+            return seed(check.__name__)(run(test))
 
         def loop():
             rng = Random(check.__name__)

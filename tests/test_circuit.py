@@ -21,6 +21,7 @@ from pauliexp import (
     trotter_circuit,
     validate_qasm,
 )
+from pauliexp import circuit
 from pauliexp.circuit import _cancel, _cancel_product, _trusted_gate
 from pauliexp.parser import parse_hamiltonian
 from pauliexp.synth import _expand, _product, _term_gates
@@ -284,6 +285,21 @@ def _one_slice(text, n):
     return list(trotter_circuit(parse_hamiltonian(text, n), EvolutionParams(0.7)).gates)
 
 
+def _cancel_counted(monkeypatch, slice_, reps):
+    """``_cancel_product(slice_, reps)`` and the number of gates it feeds the peephole."""
+    fed = []
+    peephole = circuit._peephole
+
+    def counting(gates, kept, live):
+        gates = list(gates)
+        fed.append(len(gates))
+        peephole(gates, kept, live)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(circuit, "_peephole", counting)
+        return _cancel_product(slice_, reps), sum(fed)
+
+
 @pytest.mark.parametrize(
     "slice_",
     [
@@ -300,10 +316,11 @@ def _one_slice(text, n):
         [Gate.cx(0, 1), Gate.h(0), Gate.cx(0, 1)],
     ],
 )
-def test_products_that_are_not_periodic_take_the_full_pass(slice_):
+def test_products_that_are_not_periodic_take_the_full_pass(slice_, monkeypatch):
     for reps in range(3, 13):
-        runs = _cancel_product(slice_, reps)
+        runs, fed = _cancel_counted(monkeypatch, slice_, reps)
         assert len(runs) == 1
+        assert fed == reps * len(slice_)  # each copy goes through the peephole once
         assert _bits(chain.from_iterable(_expand(runs))) == _bits(_cancel(slice_ * reps))
 
 
@@ -315,10 +332,11 @@ def test_products_that_are_not_periodic_take_the_full_pass(slice_):
         _one_slice("1*Z0 + 1*Y0 Z1 Z2", 3),
     ],
 )
-def test_products_periodic_from_copy_two_are_spliced(slice_):
+def test_products_periodic_from_copy_two_are_spliced(slice_, monkeypatch):
     for reps in range(3, 13):
-        runs = _cancel_product(slice_, reps)
+        runs, fed = _cancel_counted(monkeypatch, slice_, reps)
         assert len(runs) == 3
+        assert fed == 3 * len(slice_)
         assert _bits(chain.from_iterable(_expand(runs))) == _bits(_cancel(slice_ * reps))
 
 
@@ -328,7 +346,7 @@ def test_a_product_that_takes_the_full_pass_is_formatted_a_slice_at_a_time():
     params = EvolutionParams(0.7, 100)
     runs, _ = _product(h, params, SynthVariant.Z_LADDER, compact=True)
     chunks = list(_expand(runs))
-    assert len(runs) == 1 and len(chunks) > 1
+    assert len(runs) == 1 and len(chunks) == 100  # one chunk per copy
     assert max(map(len, chunks)) <= len(trotter_circuit(h, EvolutionParams(0.7)))
     laid_out = [gate for chunk in chunks for gate in chunk]
     assert laid_out == list(cancel_adjacent(trotter_circuit(h, params)).gates)

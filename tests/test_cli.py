@@ -175,8 +175,8 @@ def test_compacted_trotter_holds_one_slice_not_the_product(tmp_path):
 
 @pytest.mark.parametrize("reps", ["2", "3", "12"])
 def test_merged_angle_overflow_writes_nothing(reps, tmp_path, capsys):
-    # reps 2 overflows in the full pass, 3 in copy 2 of the splice, 12 in
-    # the full pass after the check fails: a lone RZ keeps accumulating
+    # reps 2 and 3 overflow in copy 2, 12 in copy 7, after copy 3 fails the
+    # periodicity check: a lone RZ keeps accumulating
     argv = ["trotter", "--ham", "1*Z0", "--n", "1", "--t", "1.7e308", "--reps", reps, "--compact"]
     target = tmp_path / "overflow.qasm"
     for out in ([], ["--out", str(target)]):
