@@ -8,6 +8,7 @@ it is imported, with numpy, only when one of its names is first used.
 """
 
 from .circuit import GATE_KINDS, Gate, QuantumCircuit, cancel_adjacent
+from .circuit import MAX_DENSE_QUBITS, MAX_EXPM_QUBITS
 from .parser import ParseError, format_hamiltonian, parse_hamiltonian
 from .paulis import Hamiltonian, PauliOp, PauliString, PauliTerm
 from .qasm import emit_qasm, validate_qasm
@@ -22,8 +23,6 @@ from .synth import (
 # The dense oracle needs numpy; load it on first use so compiling does not.
 _ORACLE_NAMES = frozenset(
     {
-        "MAX_DENSE_QUBITS",
-        "MAX_EXPM_QUBITS",
         "circuit_unitary",
         "exp_pauli_closed_form",
         "hamiltonian_matrix",
@@ -35,6 +34,8 @@ _ORACLE_NAMES = frozenset(
 
 __all__ = [
     "GATE_KINDS",
+    "MAX_DENSE_QUBITS",
+    "MAX_EXPM_QUBITS",
     "Gate",
     "QuantumCircuit",
     "cancel_adjacent",

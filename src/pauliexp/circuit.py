@@ -43,6 +43,14 @@ _INVERSE_KIND = {H: H, S: SDG, SDG: S, CX: CX, CZ: CZ}
 # the qubit cap: counts are at most MAX_QUBITS and indices below it, so a qubit
 # int has at most 8 digits and a Pauli mask at most 2 MiB
 MAX_QUBITS = 2**24
+# the dense oracle's caps, here so that verify checks them before it loads numpy
+MAX_DENSE_QUBITS = 12
+MAX_EXPM_QUBITS = 8
+
+
+def _check_qubit_cap(n: int, cap: int = MAX_DENSE_QUBITS, what: str = "dense-matrix") -> None:
+    if n > cap:
+        raise ValueError(f"{n} qubits exceeds the {what} cap of {cap}")
 
 
 def _shown(value: object) -> str:
@@ -273,30 +281,11 @@ class QuantumCircuit(_Value):
 
 
 def cancel_adjacent(circuit: QuantumCircuit) -> QuantumCircuit:
-    """The circuit after peephole compaction (:func:`_cancel`), phase kept."""
+    """The circuit after peephole compaction (:func:`_peephole`), phase kept:
+    one copy of :func:`_cancel_product`."""
     _expect(circuit, QuantumCircuit, "circuit must be a QuantumCircuit")
-    return QuantumCircuit._trusted(circuit.n_qubits, _cancel(circuit.gates), circuit.global_phase)
-
-
-def _cancel(gates: Iterable[Gate]) -> tuple[Gate, ...]:
-    """Peephole compaction: drop adjacent inverse pairs, merge adjacent
-    rotations. ``gates`` is read once, so it may be a stream.
-
-    Two gates are adjacent when no gate between them touches any of their
-    qubits. Inverse pairs (H,H), (S,Sdg), (Sdg,S), (CX,CX), (CZ,CZ) on the
-    identical qubit tuple vanish; adjacent RZ/RX on the same qubit merge by
-    summing angles. A rotation by exactly 0.0, of either sign, disappears,
-    whether given or merged. The represented unitary is unchanged.
-
-    One pass reaches the fixed point: a kept gate can only be removed by a
-    later gate on its exact qubit tuple, which would first meet any kept gate
-    after it on those qubits. So a gate between two survivors stays, and they
-    never become adjacent. :func:`_cancel_product` runs it on a Trotter
-    product.
-    """
-    kept: list[Gate | None] = []
-    _peephole(gates, kept, _stacks())
-    return tuple(g for g in kept if g is not None)
+    [([gates], _)] = _cancel_product(circuit.gates, 1)
+    return QuantumCircuit._trusted(circuit.n_qubits, tuple(gates), circuit.global_phase)
 
 
 def _ints() -> MutableSequence[int]:
@@ -309,19 +298,27 @@ def _ints() -> MutableSequence[int]:
     return array("q")
 
 
-def _stacks() -> defaultdict[int, MutableSequence[int]]:
-    """Empty per-qubit stacks of indices into a kept list."""
-    return defaultdict(_ints)
-
-
 def _peephole(
     gates: Iterable[Gate], kept: list[Gate | None], live: defaultdict[int, MutableSequence[int]]
 ) -> None:
-    """The step of :func:`_cancel`, gate by gate: each gate cancels or merges
-    into the latest live gate on its qubits, or is appended to ``kept``.
-    ``live`` maps each touched qubit to the indices into ``kept`` of its live
-    gates, latest on top; a cancelled entry of ``kept`` becomes None. A
-    rotation by 0.0 is dropped on arrival, so no kept gate has a zero angle."""
+    """Peephole compaction, gate by gate: drop adjacent inverse pairs, merge
+    adjacent rotations. Each gate cancels or merges into the latest live gate
+    on its qubits, or is appended to ``kept``. ``live`` maps each touched
+    qubit to the indices into ``kept`` of its live gates, latest on top; a
+    cancelled entry of ``kept`` becomes None.
+
+    Two gates are adjacent when no gate between them touches any of their
+    qubits. Inverse pairs (H,H), (S,Sdg), (Sdg,S), (CX,CX), (CZ,CZ) on the
+    identical qubit tuple vanish; adjacent RZ/RX on the same qubit merge by
+    summing angles. A rotation by exactly 0.0, of either sign, disappears,
+    whether given or merged, so no kept gate has a zero angle. The
+    represented unitary is unchanged.
+
+    One pass reaches the fixed point: a kept gate can only be removed by a
+    later gate on its exact qubit tuple, which would first meet any kept gate
+    after it on those qubits. So a gate between two survivors stays, and they
+    never become adjacent.
+    """
     for gate in gates:
         if gate.angle == 0.0:
             continue
@@ -350,8 +347,10 @@ def _peephole(
         kept.append(gate)
 
 
-def _cancel_product(gates: list[Gate], reps: int) -> list[tuple[Iterable[Sequence[Gate]], int]]:
-    """:func:`_cancel` of ``gates`` repeated ``reps`` times, as runs of chunks,
+def _cancel_product(
+    gates: Sequence[Gate], reps: int
+) -> list[tuple[Iterable[Sequence[Gate]], int]]:
+    """The survivors of ``gates`` repeated ``reps`` times, as runs of chunks,
     read once, each run with the number of times it repeats. The peephole
     (:func:`_peephole`) runs once per copy, on one state. When copy 3 shows
     the product periodic, the runs are copy 1's survivors, copy 2's ``reps -
@@ -371,7 +370,7 @@ def _cancel_product(gates: list[Gate], reps: int) -> list[tuple[Iterable[Sequenc
     copies, as a lone ``Z0`` does, changes copy 1's entry and fails the check.
     """
     kept: list[Gate | None] = []
-    live = _stacks()
+    live: defaultdict[int, MutableSequence[int]] = defaultdict(_ints)
     starts = []  # the index in kept of each copy's first entry
     for copy in range(1, reps + 1):
         if copy == 3:

@@ -19,7 +19,7 @@ from collections.abc import Callable, Sequence
 from contextlib import nullcontext
 from functools import partial
 
-from .circuit import GATE_KINDS
+from .circuit import GATE_KINDS, MAX_EXPM_QUBITS, _check_qubit_cap
 from .parser import ParseError, parse_hamiltonian
 from .paulis import Hamiltonian
 from .qasm import _qasm_lines, _qasm_text
@@ -191,9 +191,6 @@ def _emit(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> in
 
 
 def _verify(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> int:
-    # only verify needs the dense oracle, and with it numpy
-    from .oracle import MAX_EXPM_QUBITS, _check_qubit_cap, _exact_distance, _per_term_distance
-
     try:
         _check_qubit_cap(h.n_qubits)
     except ValueError as exc:
@@ -205,6 +202,9 @@ def _verify(ns: argparse.Namespace, h: Hamiltonian, params: EvolutionParams) -> 
         except ValueError as exc:
             print(f"cannot verify --exact: {exc}", file=sys.stderr)
             return 3
+    # only a verify within the caps needs the dense oracle, and with it numpy
+    from .oracle import _exact_distance, _per_term_distance
+
     circuit = trotter_circuit(h, params, ns.variant)
     distance = (_exact_distance if ns.exact else _per_term_distance)(circuit, h, params.t)
     passed = distance <= VERIFY_THRESHOLD

@@ -37,10 +37,9 @@ from collections.abc import Callable, Iterable, Iterator
 import numpy as np
 
 from .circuit import CX, CZ, H, RZ, S, SDG, Gate, QuantumCircuit, _expect, _finite
+from .circuit import MAX_DENSE_QUBITS, MAX_EXPM_QUBITS, _check_qubit_cap
 from .paulis import Hamiltonian, PauliString, _bits
 
-MAX_DENSE_QUBITS = 12
-MAX_EXPM_QUBITS = 8
 # elements in one block of the blocked loops below (256 KiB of complex128);
 # half of it made per-term verify at n=12 take a third longer
 _BLOCK_ELEMENTS = 2**14
@@ -58,11 +57,6 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
         return np.diag([np.exp(-1j * half), np.exp(1j * half)])
     c, s = math.cos(half), math.sin(half)  # RX
     return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def _check_qubit_cap(n: int, cap: int = MAX_DENSE_QUBITS, what: str = "dense-matrix") -> None:
-    if n > cap:
-        raise ValueError(f"{n} qubits exceeds the {what} cap of {cap}")
 
 
 def _msb_first(mask: int, n: int) -> int:

@@ -22,7 +22,7 @@ from pauliexp import (
     validate_qasm,
 )
 from pauliexp import circuit
-from pauliexp.circuit import _cancel, _cancel_product, _trusted_gate
+from pauliexp.circuit import _cancel_product, _trusted_gate
 from pauliexp.parser import parse_hamiltonian
 from pauliexp.synth import _expand, _product, _term_gates
 from helpers import random_circuit, random_hamiltonian, reference_cancel_adjacent, traced
@@ -260,6 +260,12 @@ def _bits(gates):
     return [(g.kind, g.qubits, None if g.angle is None else g.angle.hex()) for g in gates]
 
 
+def _compacted(gates):
+    """The gates :func:`cancel_adjacent` keeps of ``gates`` as one circuit."""
+    n = 1 + max((q for g in gates for q in g.qubits), default=0)
+    return cancel_adjacent(QuantumCircuit(n, gates)).gates
+
+
 def test_cancel_product_matches_the_full_pass_bit_for_bit():
     """Spliced or not, the runs lay out the full pass's gates and angle bits."""
     rng = Random(27)
@@ -274,7 +280,7 @@ def test_cancel_product_matches_the_full_pass_bit_for_bit():
             slice_ = list(random_circuit(rng, rng.randint(1, 4), rng.randint(0, 12), angles).gates)
         reps = rng.randint(1, 12)
         runs = _cancel_product(slice_, reps)
-        assert _bits(chain.from_iterable(_expand(runs))) == _bits(_cancel(slice_ * reps))
+        assert _bits(chain.from_iterable(_expand(runs))) == _bits(_compacted(slice_ * reps))
         if reps > 2:
             spliced += len(runs) == 3
             fell_back += len(runs) == 1
@@ -321,7 +327,7 @@ def test_products_that_are_not_periodic_take_the_full_pass(slice_, monkeypatch):
         runs, fed = _cancel_counted(monkeypatch, slice_, reps)
         assert len(runs) == 1
         assert fed == reps * len(slice_)  # each copy goes through the peephole once
-        assert _bits(chain.from_iterable(_expand(runs))) == _bits(_cancel(slice_ * reps))
+        assert _bits(chain.from_iterable(_expand(runs))) == _bits(_compacted(slice_ * reps))
 
 
 @pytest.mark.parametrize(
@@ -337,7 +343,7 @@ def test_products_periodic_from_copy_two_are_spliced(slice_, monkeypatch):
         runs, fed = _cancel_counted(monkeypatch, slice_, reps)
         assert len(runs) == 3
         assert fed == 3 * len(slice_)
-        assert _bits(chain.from_iterable(_expand(runs))) == _bits(_cancel(slice_ * reps))
+        assert _bits(chain.from_iterable(_expand(runs))) == _bits(_compacted(slice_ * reps))
 
 
 def test_a_product_that_takes_the_full_pass_is_formatted_a_slice_at_a_time():
@@ -356,4 +362,4 @@ def test_a_periodic_product_is_spliced():
     slice_ = _one_slice("0.5*Z0 Z1 + 0.3*X0", 2)
     ([head], once), ([middle], times), ([tail], again) = _cancel_product(slice_, 8)
     assert (once, times, again) == (1, 6, 1)
-    assert _bits(head + middle * 6 + tail) == _bits(_cancel(slice_ * 8))
+    assert _bits(head + middle * 6 + tail) == _bits(_compacted(slice_ * 8))

@@ -1,7 +1,7 @@
-"""Compiling never loads numpy: only the dense oracle, and so ``verify``, does.
-Nor does it load ``dataclasses`` or ``inspect``, which would cost every
-compile process more start-up than the package itself, or, with no ``site``
-to load it first, ``typing``.
+"""Compiling never loads numpy: only the dense oracle, and so a ``verify``
+within the oracle's caps, does. Nor does it load ``dataclasses`` or
+``inspect``, which would cost every compile process more start-up than the
+package itself, or, with no ``site`` to load it first, ``typing``.
 
 Each check runs in a fresh interpreter, since this test session has long
 imported numpy.
@@ -27,6 +27,10 @@ for argv in (
     assert run_cli(argv) == 0, argv
     for module in ("numpy", "dataclasses", "inspect"):
         assert module not in sys.modules, f"{module} loaded by {argv[0]}"
+
+for argv in (["--n", "13"], ["--n", "9", "--exact"]):  # past a cap: exit 3
+    assert run_cli(["verify", "--ham", "1*Z0", "--t", "1", *argv]) == 3, argv
+assert "numpy" not in sys.modules, "loaded by a verify past its cap"
 
 assert run_cli(["verify", "--ham", "1*Y1 Y3 X5", "--n", "6", "--t", "0.7"]) == 0
 assert run_cli(["verify", "--ham", "1*Z0 + 1*X0", "--n", "1", "--t", "0.7", "--exact"]) == 2
