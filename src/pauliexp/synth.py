@@ -1,9 +1,10 @@
 """Circuit synthesis for exp(-i*t*w*P) and first-order Trotter products.
 
-The base construction accumulates the joint parity of a string's support
-qubits onto the lowest-index one with a CNOT chain, rotates it with a single
-RZ, and uncomputes. Non-Z factors are handled by basis-change wraps: H turns
-the Z axis into X, and an additional S / S-dagger pair turns X into Y.
+The base construction folds the joint parity of a string's support qubits
+onto the lowest-index one with a halving tree of CNOTs, rotates it with a
+single RZ, and uncomputes. Weight k takes 2(k-1) CNOTs in ceil(log2 k) layers
+on each side of the RZ. Non-Z factors are handled by basis-change wraps: H
+turns the Z axis into X, and an additional S / S-dagger pair turns X into Y.
 
 Three interchangeable layouts of the wraps are exposed. Each runs in
 ascending qubit order, layer by layer, which fixes the gate order:
@@ -64,11 +65,16 @@ class EvolutionParams(_Value):
 
 
 def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> QuantumCircuit:
-    """CNOT-ladder circuit for exp(-i*(theta/2)*Z_support).
+    """Parity-ladder circuit for exp(-i*(theta/2)*Z_support).
 
-    For support [q1 < q2 < ... < qk] the gates are CX(qk, qk-1), ...,
-    CX(q2, q1), RZ(q1, theta), then the mirrored CX sequence: the chain
-    folds the joint parity onto q1, where one RZ applies the phase.
+    For support [q1 < q2 < ... < qk] the gates fold the joint parity onto
+    q1, apply RZ(q1, theta), then mirror the fold to uncompute. One qubit
+    folds with no gates. More split at h = k // 2 into a low half
+    [q1 .. qh] and a high half [qh+1 .. qk], and fold as the high half's
+    fold, the low half's, then CX(qh+1, q1). The halves touch disjoint
+    qubits, so the k - 1 CX take ceil(log2 k) layers. For k <= 3 this is the
+    chain CX(qk, qk-1), ..., CX(q2, q1): at k = 3 the high half [q2, q3]
+    folds by CX(q3, q2) and the low half [q1] by nothing.
     """
     n_qubits = _positive(n_qubits, "n_qubits", MAX_QUBITS)
     support = tuple(_as_int(q, "qubit index") for q in support)
@@ -78,17 +84,31 @@ def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> Qua
         raise ValueError(f"support must be strictly ascending, got {_shown(support)}")
     if support[0] < 0 or support[-1] >= n_qubits:
         raise ValueError(f"support {_shown(support)} out of range for {n_qubits} qubits")
-    gates = tuple(_ladder(support, _finite(theta, "rz angle")))
+    gates = tuple(_ladder(support, _finite(theta, "rz angle"), _Folds()))
     return QuantumCircuit._trusted(n_qubits, gates, 0.0)
 
 
-def _ladder(support: tuple[int, ...], theta: float) -> list[Gate]:
+class _Folds(dict):
+    """Memo of :func:`synth_z_rotation`'s fold by support length k:
+    ``folds[k]`` is the (control, target) positions of its CX in uncompute
+    order, CX(h, 0) with h = k // 2, the low half's, then the high half's
+    shifted by h. A term builds its CX from stored pairs at a chain's cost.
+    A memo serves one product or one ladder and is freed with it; a weight k
+    adds about 3k pairs, as its halves take two lengths at most per depth."""
+
+    def __missing__(self, k: int) -> list[tuple[int, int]]:
+        h = k // 2
+        pairs = [(h, 0), *self[h], *[(c + h, t + h) for c, t in self[k - h]]] if k > 1 else []
+        self[k] = pairs
+        return pairs
+
+
+def _ladder(support: tuple[int, ...], theta: float, folds: _Folds) -> list[Gate]:
     """Gates of :func:`synth_z_rotation` for a valid ascending support and
-    a finite float theta, which every caller checks first."""
-    down = [
-        _trusted_gate(CX, (support[i], support[i - 1])) for i in range(len(support) - 1, 0, -1)
-    ]
-    return [*down, _trusted_gate(RZ, (support[0],), theta), *reversed(down)]
+    a finite float theta, which every caller checks first, from the memo
+    ``folds`` of the product they belong to."""
+    up = [_trusted_gate(CX, (support[c], support[t])) for c, t in folds[len(support)]]
+    return [*reversed(up), _trusted_gate(RZ, (support[0],), theta), *up]
 
 
 def _wraps(
@@ -111,13 +131,15 @@ def _wraps(
     return pre, post
 
 
-def _term_gates(term: PauliTerm, angle: float, variant: SynthVariant) -> list[Gate]:
+def _term_gates(
+    term: PauliTerm, angle: float, variant: SynthVariant, folds: _Folds
+) -> list[Gate]:
     """Gates of exp(-i*t*w*P) for a term and its checked angle 2*t*w; none for the identity."""
     support = term.string.support
     if not support:
         return []
     pre, post = _wraps(term.string, support, variant)
-    return pre + _ladder(support, angle) + post
+    return pre + _ladder(support, angle, folds) + post
 
 
 def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumCircuit:
@@ -167,7 +189,8 @@ def _product(
         for piece_phase in phases:
             phase += piece_phase
     _finite(phase, "global_phase")
-    per_term = (_term_gates(term, angle, variant) for term, angle in zip(h.terms, angles))
+    folds = _Folds()
+    per_term = (_term_gates(term, angle, variant, folds) for term, angle in zip(h.terms, angles))
     if not compact:
         return [(per_term, params.reps)], phase
     return _cancel_product([g for gates in per_term for g in gates], params.reps), phase

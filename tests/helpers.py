@@ -26,7 +26,7 @@ from pauliexp import (
     circuit_unitary,
     phase_invariant_distance,
 )
-from pauliexp.synth import _term_gates
+from pauliexp.synth import _Folds, _term_gates
 
 try:
     from hypothesis import example, given, seed, settings
@@ -156,6 +156,16 @@ def random_circuit(
             gates.append(Gate(kind, (q,)))
     phase = rng.uniform(-3.2, 3.2) if rng.random() < 0.5 else 0.0
     return QuantumCircuit(n, tuple(gates), phase)
+
+
+def depth(gates) -> int:
+    """Circuit depth by a per-qubit frontier: each gate starts one layer
+    after the latest gate on any of its qubits."""
+    frontier = {}
+    for gate in gates:
+        layer = 1 + max(frontier.get(q, 0) for q in gate.qubits)
+        frontier.update(dict.fromkeys(gate.qubits, layer))
+    return max(frontier.values(), default=0)
 
 
 _INVERSE = {"h": "h", "s": "sdg", "sdg": "s", "cx": "cx", "cz": "cz"}
@@ -349,5 +359,6 @@ def reference_exp_pauli_term(term: PauliTerm, t: float, variant) -> QuantumCircu
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     angle = 2.0 * t * term.coefficient
-    gates = tuple(Gate(g.kind, g.qubits, g.angle) for g in _term_gates(term, angle, variant))
+    synthesized = _term_gates(term, angle, variant, _Folds())
+    gates = tuple(Gate(g.kind, g.qubits, g.angle) for g in synthesized)
     return QuantumCircuit(term.n_qubits, gates, 0.0 if gates else -t * term.coefficient)

@@ -141,14 +141,27 @@ def test_golden_documents_byte_equality(name, label):
 TROTTER_HAM = "0.5*Z0 Y1 X3 + 0.3*X0 Z2 Y3 - 0.2*Id"
 
 
+def check_trotter_golden(prefix: str, ham: str, n: int, variant: SynthVariant, capsys) -> None:
+    """``trotter --t 0.7 --reps 2`` of ``ham`` equals its golden document
+    byte for byte, in process and through the CLI."""
+    name = f"{prefix}_{variant.value.replace('-', '')}_t0p7.qasm"
+    expected = (GOLDEN_DIR / name).read_text()
+    h = parse_hamiltonian(ham, n)
+    assert emit_qasm(trotter_circuit(h, EvolutionParams(0.7, 2), variant)) == expected
+    argv = ["trotter", "--ham", ham, "--n", str(n), "--t", "0.7", "--reps", "2"]
+    assert run_cli([*argv, "--variant", variant.value]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("variant", list(SynthVariant), ids=lambda v: v.value)
 def test_trotter_golden_documents_byte_equality(variant, capsys):
     """Every layout pinned byte for byte on a product with X, Y and Z factors,
-    an identity phase and a replayed slice, in process and through the CLI."""
-    name = f"trotter_reps2_{variant.value.replace('-', '')}_t0p7.qasm"
-    expected = (GOLDEN_DIR / name).read_text()
-    h = parse_hamiltonian(TROTTER_HAM, 4)
-    assert emit_qasm(trotter_circuit(h, EvolutionParams(0.7, 2), variant)) == expected
-    argv = ["trotter", "--ham", TROTTER_HAM, "--n", "4", "--t", "0.7", "--reps", "2"]
-    assert run_cli([*argv, "--variant", variant.value]) == 0
-    assert capsys.readouterr().out == expected
+    an identity phase and a replayed slice."""
+    check_trotter_golden("trotter_reps2", TROTTER_HAM, 4, variant, capsys)
+
+
+@pytest.mark.parametrize("variant", list(SynthVariant), ids=lambda v: v.value)
+def test_weight_six_golden_documents_byte_equality(variant, capsys):
+    """The halving fold pinned byte for byte where it differs from a chain:
+    weight 6 folds as CX(5,4) CX(4,3) CX(2,1) CX(1,0) CX(3,0), three layers."""
+    check_trotter_golden("trotter_w6_reps2", "0.4*X0 Y1 Z2 X3 Y4 Z5", 6, variant, capsys)

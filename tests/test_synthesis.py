@@ -35,7 +35,7 @@ from pauliexp import (
     trotter_circuit,
     validate_qasm,
 )
-from helpers import for_labels, random_pauli_string, reference_exp_pauli_term
+from helpers import depth, for_labels, random_pauli_string, reference_exp_pauli_term
 
 T_SAMPLES = (0.1, 0.7, math.pi / 3, -1.2)
 Z_STRING = PauliString.from_label("Z")
@@ -65,6 +65,46 @@ def test_ladder_gate_sequence_for_three_support_qubits():
         Gate.cx(3, 1),
         Gate.cx(5, 3),
     )
+
+
+def halving_fold(support: list[int]) -> list[Gate]:
+    """The fold as specified: the high half's fold, the low half's fold,
+    then CX(high[0], low[0]), with the low half the first k // 2 qubits."""
+    if len(support) == 1:
+        return []
+    half = len(support) // 2
+    low, high = support[:half], support[half:]
+    return [*halving_fold(high), *halving_fold(low), Gate.cx(high[0], low[0])]
+
+
+def test_fold_takes_ceil_log2_k_cx_layers_on_each_side():
+    rng = Random(35)
+    for k in range(1, 65):
+        support = sorted(rng.sample(range(2 * k), k))
+        theta = rng.uniform(-3.0, 3.0)
+        gates = synth_z_rotation(2 * k, support, theta).gates
+        fold = halving_fold(support)
+        assert gates == (*fold, Gate.rz(support[0], theta), *reversed(fold))
+        if k <= 3:  # the chain CX(qk, qk-1), ..., CX(q2, q1)
+            assert fold == [Gate.cx(b, a) for a, b in reversed(list(zip(support, support[1:])))]
+        layers = (k - 1).bit_length()  # ceil(log2 k)
+        assert depth(gates[: k - 1]) == depth(gates[k:]) == layers
+        assert depth(gates) == 2 * layers + 1
+
+
+@pytest.mark.parametrize("variant", list(SynthVariant), ids=lambda v: v.value)
+def test_fold_unitaries_at_weights_4_to_8_match_the_closed_form(variant):
+    rng = Random(f"fold {variant.value}")
+    for weight in range(4, 9):
+        for _ in range(3):
+            n = rng.randint(weight, 8)
+            label = ["I"] * n
+            for q in rng.sample(range(n), weight):
+                label[q] = rng.choice("XYZ")
+            p = PauliString.from_label("".join(label))
+            t = rng.uniform(-2.0, 2.0)
+            u = circuit_unitary(exp_pauli_term(PauliTerm(1.0, p), t, variant))
+            assert np.linalg.norm(u - exp_pauli_closed_form(p, t)) <= 1e-10
 
 
 def test_ladder_unitary_matches_closed_form_zzz():
