@@ -41,6 +41,9 @@ from .circuit import (
     _expect,
     _finite,
     _positive,
+    _set_angle,
+    _set_kind,
+    _set_qubits,
     _shown,
     _trusted_gate,
     _Value,
@@ -84,30 +87,34 @@ def synth_z_rotation(n_qubits: int, support: Sequence[int], theta: float) -> Qua
         raise ValueError(f"support must be strictly ascending, got {_shown(support)}")
     if support[0] < 0 or support[-1] >= n_qubits:
         raise ValueError(f"support {_shown(support)} out of range for {n_qubits} qubits")
-    gates = tuple(_ladder(support, _finite(theta, "rz angle"), _Folds()))
+    gates = tuple(_ladder(support, _finite(theta, "rz angle")))
     return QuantumCircuit._trusted(n_qubits, gates, 0.0)
 
 
-class _Folds(dict):
-    """Memo of :func:`synth_z_rotation`'s fold by support length k:
-    ``folds[k]`` is the (control, target) positions of its CX in uncompute
-    order, CX(h, 0) with h = k // 2, the low half's, then the high half's
-    shifted by h. A term builds its CX from stored pairs at a chain's cost.
-    A memo serves one product or one ladder and is freed with it; a weight k
-    adds about 3k pairs, as its halves take two lengths at most per depth."""
-
-    def __missing__(self, k: int) -> list[tuple[int, int]]:
-        h = k // 2
-        pairs = [(h, 0), *self[h], *[(c + h, t + h) for c, t in self[k - h]]] if k > 1 else []
-        self[k] = pairs
-        return pairs
-
-
-def _ladder(support: tuple[int, ...], theta: float, folds: _Folds) -> list[Gate]:
+def _ladder(support: tuple[int, ...], theta: float) -> list[Gate]:
     """Gates of :func:`synth_z_rotation` for a valid ascending support and
-    a finite float theta, which every caller checks first, from the memo
-    ``folds`` of the product they belong to."""
-    up = [_trusted_gate(CX, (support[c], support[t])) for c, t in folds[len(support)]]
+    a finite float theta, which every caller checks first.
+
+    ``up``, the fold reversed, is CX(h, 0) for h = k // 2, the low half's
+    gates, then the high half's, in support positions. So the gates onto a
+    position are adjacent, positions ascending, and one O(k) pass builds
+    them: the span of length m at ``lo`` puts CX(lo + m // 2, lo), leaves
+    the high half's length in ``spans[lo + m // 2]`` and goes on with its low
+    half. Each CX is built in line, as :func:`_trusted_gate` builds it: a
+    call per CX made a wide slice's synthesis about 3% slower."""
+    spans = [len(support)] + [1] * (len(support) - 1)
+    up = []
+    for lo, target in enumerate(support):
+        m = spans[lo]
+        while m > 1:
+            half = m // 2
+            spans[lo + half] = m - half
+            gate = object.__new__(Gate)
+            _set_kind(gate, CX)
+            _set_qubits(gate, (support[lo + half], target))
+            _set_angle(gate, None)
+            up.append(gate)
+            m = half
     return [*reversed(up), _trusted_gate(RZ, (support[0],), theta), *up]
 
 
@@ -131,15 +138,13 @@ def _wraps(
     return pre, post
 
 
-def _term_gates(
-    term: PauliTerm, angle: float, variant: SynthVariant, folds: _Folds
-) -> list[Gate]:
+def _term_gates(term: PauliTerm, angle: float, variant: SynthVariant) -> list[Gate]:
     """Gates of exp(-i*t*w*P) for a term and its checked angle 2*t*w; none for the identity."""
     support = term.string.support
     if not support:
         return []
     pre, post = _wraps(term.string, support, variant)
-    return pre + _ladder(support, angle, folds) + post
+    return pre + _ladder(support, angle) + post
 
 
 def exp_pauli_term(term: PauliTerm, t: float, variant: SynthVariant) -> QuantumCircuit:
@@ -189,8 +194,7 @@ def _product(
         for piece_phase in phases:
             phase += piece_phase
     _finite(phase, "global_phase")
-    folds = _Folds()
-    per_term = (_term_gates(term, angle, variant, folds) for term, angle in zip(h.terms, angles))
+    per_term = (_term_gates(term, angle, variant) for term, angle in zip(h.terms, angles))
     if not compact:
         return [(per_term, params.reps)], phase
     return _cancel_product([g for gates in per_term for g in gates], params.reps), phase

@@ -26,7 +26,7 @@ from pauliexp import (
     circuit_unitary,
     phase_invariant_distance,
 )
-from pauliexp.synth import _Folds, _term_gates
+from pauliexp.synth import _term_gates
 
 try:
     from hypothesis import example, given, seed, settings
@@ -359,6 +359,5 @@ def reference_exp_pauli_term(term: PauliTerm, t: float, variant) -> QuantumCircu
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     angle = 2.0 * t * term.coefficient
-    synthesized = _term_gates(term, angle, variant, _Folds())
-    gates = tuple(Gate(g.kind, g.qubits, g.angle) for g in synthesized)
+    gates = tuple(Gate(g.kind, g.qubits, g.angle) for g in _term_gates(term, angle, variant))
     return QuantumCircuit(term.n_qubits, gates, 0.0 if gates else -t * term.coefficient)

@@ -72,14 +72,15 @@ def test_criterion_1_exhaustive_single_term_correctness():
 
 def test_criterion_2_randomized_correctness_to_n8():
     rng = Random(2024)
+    variants = list(SynthVariant)
     worst = 0.0
     for n in range(4, 9):
-        for _ in range(200):
+        for i in range(200):
             p = random_pauli_string(rng, n, min_weight=1)
             t = rng.choice(T_SAMPLES)
-            worst = max(worst, _synth_distance(p, t, SynthVariant.Z_LADDER))
+            worst = max(worst, _synth_distance(p, t, variants[i % len(variants)]))
     assert worst <= SYNTH_TOL, f"worst distance {worst:.3e}"
-    _report("2 randomized n=4..8", f"1000 circuits, worst {worst:.2e}")
+    _report("2 randomized n=4..8, variants in turn", f"1000 circuits, worst {worst:.2e}")
 
 
 def test_criterion_3_golden_circuits():

@@ -24,7 +24,7 @@ from pauliexp import (
 from pauliexp import circuit
 from pauliexp.circuit import _cancel_product, _trusted_gate
 from pauliexp.parser import parse_hamiltonian
-from pauliexp.synth import _Folds, _expand, _product, _term_gates
+from pauliexp.synth import _expand, _product, _term_gates
 from helpers import random_circuit, random_hamiltonian, reference_cancel_adjacent, traced
 
 
@@ -274,10 +274,7 @@ def test_cancel_product_matches_the_full_pass_bit_for_bit():
         if case % 2:
             h = random_hamiltonian(rng, max_qubits=6, max_terms=6)
             variant = rng.choice(list(SynthVariant))
-            folds = _Folds()
-            slice_ = [
-                g for t in h.terms for g in _term_gates(t, rng.uniform(-3, 3), variant, folds)
-            ]
+            slice_ = [g for term in h.terms for g in _term_gates(term, rng.uniform(-3, 3), variant)]
         else:  # angles that cancel, merge to zero or are zero, of either sign
             angles = (0.5, -0.5, 0.25, 0.0, -0.0)
             slice_ = list(random_circuit(rng, rng.randint(1, 4), rng.randint(0, 12), angles).gates)

@@ -4,6 +4,7 @@ import errno
 import itertools
 import os
 from collections import Counter
+from collections.abc import Sequence
 from random import Random
 
 import numpy as np
@@ -128,31 +129,34 @@ def test_streamed_document_equals_emit_qasm(reps, compact, variant, tmp_path, ca
         assert capsys.readouterr().out == histogram
 
 
-def _wide_hamiltonian(seed: int) -> str:
-    """A synth-wide-shaped input: 250 terms of weight 20-60 over 1000 qubits."""
+def _wide_hamiltonian(seed: int, weights: Sequence[int]) -> str:
+    """Terms of the given weights over 1000 qubits."""
     rng = Random(seed)
     terms = []
-    for j in range(250):
-        qubits = sorted(rng.sample(range(1000), 20 + (7 * j) % 41))
+    for k in weights:
+        qubits = sorted(rng.sample(range(1000), k))
         ops = " ".join(f"{rng.choice('XYZ')}{q}" for q in qubits)
         terms.append(f"{rng.uniform(-1, 1)!r}*{ops}")
     return " + ".join(terms)
 
 
 def test_uncompacted_synth_never_holds_the_product(tmp_path):
-    ham = _wide_hamiltonian(5)
-    target = tmp_path / "wide.qasm"
-    # --out, not stdout: captured stdout would hold the whole document
-    argv = ["synth", "--ham", ham, "--n", "1000", "--t", "0.7", "--out", str(target)]
-    rc, peak, _ = traced(run_cli, argv)
-    assert rc == 0
-    h = parse_hamiltonian(ham, 1000)
-    circuit = trotter_circuit(h, EvolutionParams(0.7))
-    assert len(circuit) > 30_000
-    assert target.read_bytes() == emit_qasm(circuit).encode()
-    # one term's gates and their text; the whole product's gates take
-    # several MiB
-    assert peak < 2**20
+    # synth-wide's shape, 250 terms of weight 20-60, then 100 distinct
+    # weights: nothing kept from term to term may grow with the weights seen
+    synth_wide = [20 + (7 * j) % 41 for j in range(250)]
+    for ham in (_wide_hamiltonian(5, synth_wide), _wide_hamiltonian(35, range(100, 300, 2))):
+        target = tmp_path / "wide.qasm"
+        # --out, not stdout: captured stdout would hold the whole document
+        argv = ["synth", "--ham", ham, "--n", "1000", "--t", "0.7", "--out", str(target)]
+        rc, peak, _ = traced(run_cli, argv)
+        assert rc == 0
+        h = parse_hamiltonian(ham, 1000)
+        circuit = trotter_circuit(h, EvolutionParams(0.7))
+        assert len(circuit) > 30_000
+        assert target.read_bytes() == emit_qasm(circuit).encode()
+        # one term's gates and their text; the whole product's gates take
+        # several MiB
+        assert peak < 2**20
 
 
 def test_compacted_trotter_holds_one_slice_not_the_product(tmp_path):

@@ -92,21 +92,6 @@ def test_fold_takes_ceil_log2_k_cx_layers_on_each_side():
         assert depth(gates) == 2 * layers + 1
 
 
-@pytest.mark.parametrize("variant", list(SynthVariant), ids=lambda v: v.value)
-def test_fold_unitaries_at_weights_4_to_8_match_the_closed_form(variant):
-    rng = Random(f"fold {variant.value}")
-    for weight in range(4, 9):
-        for _ in range(3):
-            n = rng.randint(weight, 8)
-            label = ["I"] * n
-            for q in rng.sample(range(n), weight):
-                label[q] = rng.choice("XYZ")
-            p = PauliString.from_label("".join(label))
-            t = rng.uniform(-2.0, 2.0)
-            u = circuit_unitary(exp_pauli_term(PauliTerm(1.0, p), t, variant))
-            assert np.linalg.norm(u - exp_pauli_closed_form(p, t)) <= 1e-10
-
-
 def test_ladder_unitary_matches_closed_form_zzz():
     t = 0.45
     c = synth_z_rotation(3, [0, 1, 2], 2 * t)
